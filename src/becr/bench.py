@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,7 +24,10 @@ from .lattice import (
     build_covers,
     enumerate_concepts,
 )
-from .relevance import BaseRule, becr, stability
+from .relevance import BaseRule, BecrBreakdown, StabilityScore, becr, stability
+
+# choices for score_concepts: which of the two indices to compute
+INDEXES = ("becr", "stability", "both")
 
 REPORT_COLUMNS = (
     "concept_id",
@@ -114,43 +116,49 @@ def _min_of_repeats(fn, repeats: int) -> int:
     return best
 
 
+def score_concepts(
+    ctx: FormalContext,
+    lattice: ConceptLattice,
+    rule: BaseRule = BaseRule.WORKED_EXAMPLE,
+    index: str = "both",
+) -> list[tuple[BecrBreakdown | None, StabilityScore | None]]:
+    """(BECR breakdown, stability) for each concept id, untimed.
+
+    ``index`` is one of INDEXES; an index not selected is never computed
+    and reads None, so "becr" is not bound by the stability intent guard.
+    A tripped guard re-raises IntentTooLarge naming the concept id.
+    """
+    if index not in INDEXES:
+        raise ValueError(f"index must be one of {INDEXES}, got {index!r}")
+    scored = []
+    for i, concept in enumerate(lattice.concepts):
+        try:
+            breakdown = (None if index == "stability"
+                         else becr(ctx, lattice, concept, rule))
+            stab = None if index == "becr" else stability(ctx, concept)
+        except IntentTooLarge as err:
+            raise IntentTooLarge(f"concept {i}: {err}") from None
+        scored.append((breakdown, stab))
+    return scored
+
+
 def run_comparison(
     ctx: FormalContext,
     rule: BaseRule = BaseRule.WORKED_EXAMPLE,
     timing_repeats: int = 5,
     concept_budget: int = DEFAULT_CONCEPT_BUDGET,
-    threads: int = 1,
 ) -> ComparisonReport:
     """Score every concept with both indices and optionally time them.
 
     ``timing_repeats`` = 0 disables the timing pass (times report as 0).
-    ``threads`` > 1 spreads the untimed scoring pass over a thread pool;
-    the timing pass always runs sequentially on the calling thread.
     """
     if timing_repeats < 0:
         raise ValueError("timing_repeats must be >= 0")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     concepts = enumerate_concepts(ctx, budget=concept_budget)
     lattice = build_covers(concepts)
 
-    def score(i: int):
-        concept = concepts[i]
-        try:
-            breakdown = becr(ctx, lattice, concept, rule)
-            stab = stability(ctx, concept)
-        except IntentTooLarge as err:
-            raise IntentTooLarge(f"concept {i}: {err}") from None
-        return breakdown, stab
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(score, range(len(concepts))))
-    else:
-        scored = [score(i) for i in range(len(concepts))]
-
     rows = []
-    for i, (breakdown, stab) in enumerate(scored):
+    for i, (breakdown, stab) in enumerate(score_concepts(ctx, lattice, rule)):
         concept = concepts[i]
         t_becr = t_stab = 0
         if timing_repeats > 0:
@@ -199,7 +207,8 @@ def run_comparison(
     return ComparisonReport(rows, xi, tau_becr, tau_stab, stats)
 
 
-def _fmt(value: Fraction) -> str:
+def format_score(value: Fraction) -> str:
+    """A score as written to every CSV: six decimals."""
     return f"{float(value):.6f}"
 
 
@@ -212,10 +221,10 @@ def emit_csv(report: ComparisonReport, include_timing: bool = True) -> str:
             str(r.concept_id),
             str(r.extent_size),
             str(r.intent_size),
-            _fmt(r.alpha),
-            _fmt(r.beta),
-            _fmt(r.becr),
-            _fmt(r.stability),
+            format_score(r.alpha),
+            format_score(r.beta),
+            format_score(r.becr),
+            format_score(r.stability),
             str(r.n_mingen),
             str(r.n_base),
             str(r.n_equiv),
@@ -229,5 +238,6 @@ def emit_csv(report: ComparisonReport, include_timing: bool = True) -> str:
 def emit_scatter(report: ComparisonReport) -> str:
     """Two-column becr,stability CSV with exactly one line per concept."""
     return "".join(
-        f"{_fmt(r.becr)},{_fmt(r.stability)}\n" for r in report.rows
+        f"{format_score(r.becr)},{format_score(r.stability)}\n"
+        for r in report.rows
     )

@@ -13,9 +13,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import emit_csv, emit_scatter, run_comparison
+from .bench import (
+    INDEXES,
+    emit_csv,
+    emit_scatter,
+    format_score,
+    run_comparison,
+    score_concepts,
+)
 from .context import FormalContext, parse_csv, parse_cxt, parse_fimi, serialize_cxt
-from .generators import IntentTooLarge, minimal_generators
+from .generators import IntentTooLarge
 from .lattice import (
     DEFAULT_CONCEPT_BUDGET,
     ConceptBudgetExceeded,
@@ -24,7 +31,7 @@ from .lattice import (
     concepts_csv,
     enumerate_concepts,
 )
-from .relevance import BaseRule, becr, stability
+from .relevance import BaseRule
 from .synth import CoinTossSpec, coin_toss_context
 
 EXIT_OK = 0
@@ -87,10 +94,6 @@ def _stats_line(ctx: FormalContext, n_concepts: int) -> str:
     )
 
 
-def _fmt6(value) -> str:
-    return f"{float(value):.6f}"
-
-
 def _cmd_concepts(args) -> int:
     ctx = _load_context(args.input, args.format)
     concepts = enumerate_concepts(ctx, budget=args.concept_budget)
@@ -101,11 +104,11 @@ def _cmd_concepts(args) -> int:
 
 def _cmd_relevance(args) -> int:
     ctx = _load_context(args.input, args.format)
-    rule = BaseRule(args.base_rule)
     concepts = enumerate_concepts(ctx, budget=args.concept_budget)
     lattice = build_covers(concepts)
-    with_becr = args.index in ("becr", "both")
-    with_stability = args.index in ("stability", "both")
+    scored = score_concepts(ctx, lattice, BaseRule(args.base_rule), args.index)
+    with_becr = args.index != "stability"
+    with_stability = args.index != "becr"
 
     header = ["concept_id", "extent_size", "intent_size"]
     if with_becr:
@@ -116,27 +119,21 @@ def _cmd_relevance(args) -> int:
         header += ["n_mingen", "n_base", "n_equiv"]
 
     records = []
-    for i, concept in enumerate(concepts):
+    for i, (breakdown, score) in enumerate(scored):
+        concept = concepts[i]
         fields = [str(i), str(concept.extent.bit_count()),
                   str(concept.intent.bit_count())]
-        sort_values = {}
         if with_becr:
-            breakdown = becr(ctx, lattice, concept, rule)
-            fields += [_fmt6(breakdown.alpha), _fmt6(breakdown.beta),
-                       _fmt6(breakdown.becr)]
-            sort_values["becr"] = breakdown.becr
+            fields += [format_score(breakdown.alpha),
+                       format_score(breakdown.beta),
+                       format_score(breakdown.becr)]
         if with_stability:
-            try:
-                score = stability(ctx, concept)
-            except IntentTooLarge as err:
-                raise IntentTooLarge(f"concept {i}: {err}") from None
-            fields += [_fmt6(score.value)]
-            sort_values["stability"] = score.value
+            fields += [format_score(score.value)]
         if with_becr:
             fields += [str(breakdown.generator_count),
                        str(breakdown.base_attributes.bit_count()),
                        str(breakdown.equivalent_attributes.bit_count())]
-        key = sort_values["becr" if with_becr else "stability"]
+        key = breakdown.becr if with_becr else score.value
         records.append((key, i, fields))
 
     records.sort(key=lambda rec: (-rec[0], rec[1]))
@@ -153,7 +150,6 @@ def _cmd_bench(args) -> int:
         rule=BaseRule(args.base_rule),
         timing_repeats=repeats,
         concept_budget=args.concept_budget,
-        threads=args.threads,
     )
     _write_output(emit_csv(report, include_timing=not args.no_timing),
                   args.output)
@@ -207,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser(
         "relevance", help="score and rank concepts")
     _add_input_options(sub)
-    sub.add_argument("--index", choices=("becr", "stability", "both"),
+    sub.add_argument("--index", choices=INDEXES,
                      default="becr",
                      help="which index to compute (default becr); 'both' "
                           "sorts by becr")
@@ -230,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip the timing pass and omit timing columns")
     sub.add_argument("--scatter", metavar="PATH",
                      help="also write a becr,stability scatter CSV")
-    sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="threads for the untimed scoring pass; timing is "
-                          "always sequential (default 1)")
     sub.set_defaults(handler=_cmd_bench)
 
     sub = commands.add_parser(
@@ -253,8 +246,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "timing_repeats", 1) < 0:
         parser.error("--timing-repeats must be >= 0")
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     if getattr(args, "concept_budget", 1) < 1:
         parser.error("--concept-budget must be >= 1")
     if args.command == "generate":

@@ -268,7 +268,10 @@ def parse_cxt(text: str) -> FormalContext:
             elif ch != ".":
                 raise IllegalCell(ch, i, j)
         rows.append(mask)
-    return FormalContext.from_rows(objects, attributes, rows)
+    try:
+        return FormalContext.from_rows(objects, attributes, rows)
+    except ValueError as err:  # an empty or repeated name
+        raise MalformedHeader(str(err)) from None
 
 
 def serialize_cxt(ctx: FormalContext) -> str:
@@ -291,12 +294,16 @@ def parse_csv(text: str) -> FormalContext:
     column and is ignored).  Each data row starts with the object name,
     followed by cells in {'1', '0', ''}; empty means no incidence.
     """
-    records = [r for r in _csv.reader(io.StringIO(text)) if r]
+    try:
+        records = [r for r in _csv.reader(io.StringIO(text)) if r]
+    except _csv.Error as err:  # e.g. a field over the csv module's size limit
+        raise MalformedRow(f"unreadable CSV: {err}") from None
     if not records:
         raise MalformedHeader("missing CSV header row")
     header = records[0]
     attributes = header[1:]
     objects = []
+    seen = set()
     rows = []
     for i, record in enumerate(records[1:]):
         if len(record) != len(header):
@@ -305,6 +312,9 @@ def parse_csv(text: str) -> FormalContext:
             )
         if not record[0]:
             raise MalformedRow(f"row {i} has an empty object name")
+        if record[0] in seen:
+            raise MalformedRow(f"row {i} repeats object name {record[0]!r}")
+        seen.add(record[0])
         objects.append(record[0])
         mask = 0
         for j, cell in enumerate(record[1:]):
@@ -315,7 +325,10 @@ def parse_csv(text: str) -> FormalContext:
                     f"cell at row {i}, column {j} is {cell!r}, expected 0, 1, or empty"
                 )
         rows.append(mask)
-    return FormalContext.from_rows(objects, attributes, rows)
+    try:
+        return FormalContext.from_rows(objects, attributes, rows)
+    except ValueError as err:  # an empty or repeated attribute name
+        raise MalformedHeader(str(err)) from None
 
 
 # -- FIMI transaction lists ---------------------------------------------------
@@ -330,9 +343,13 @@ def parse_fimi(text: str) -> FormalContext:
     for i, line in enumerate(text.splitlines()):
         items = set()
         for token in line.split():
-            if not token.isdigit():
+            # str.isdigit alone admits non-ASCII digits such as '²'
+            if not (token.isascii() and token.isdigit()):
                 raise MalformedRow(f"line {i + 1}: non-integer item {token!r}")
-            items.add(int(token))
+            try:
+                items.add(int(token))
+            except ValueError:  # over the interpreter's int digit limit
+                raise MalformedRow(f"line {i + 1}: item too long") from None
         transactions.append(items)
     ids = sorted({item for t in transactions for item in t})
     index = {item: j for j, item in enumerate(ids)}

@@ -66,9 +66,9 @@ def minimal_generators(
     if not cover_ids:
         return [0]
     b = concept.intent
-    intents = lattice._intents
+    concepts = lattice.concepts
     remaining = iter(cover_ids)
-    face = b & ~intents[next(remaining)]
+    face = b & ~concepts[next(remaining)].intent
     h: list[int] = []
     while face:
         low = face & -face
@@ -76,7 +76,7 @@ def minimal_generators(
         h.append(low)
     pruned = False
     for cid in remaining:
-        face = b & ~intents[cid]
+        face = b & ~concepts[cid].intent
         if len(h) == 1:
             # extensions of a single candidate by distinct attributes form
             # an antichain and are appended in canonical order

@@ -114,14 +114,10 @@ class ConceptLattice:
     # keyed by intent: it determines the concept, and intent masks are far
     # smaller than extents on object-heavy contexts
     _index: dict[int, int] = field(repr=False, default_factory=dict)
-    # intent masks in concept order, for scoring loops that walk covers
-    _intents: list[int] = field(repr=False, default_factory=list)
 
     def __post_init__(self):
         if not self._index:
             self._index = {c.intent: i for i, c in enumerate(self.concepts)}
-        if not self._intents:
-            self._intents = [c.intent for c in self.concepts]
 
     def __len__(self) -> int:
         return len(self.concepts)

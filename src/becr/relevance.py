@@ -241,21 +241,13 @@ def becr(
     """Full BECR breakdown: (alpha + beta) / 2 plus the witnesses."""
     alpha, base, equiv = alpha_term(ctx, concept, rule)
     generators = minimal_generators(lattice, concept)
-    count = len(generators)
-    # beta_term, unrolled here to keep the scored path flat
-    if count > 1:
-        size = concept.intent.bit_count()
-        beta = _ONE if count >= size else _frac(count, size)
-    elif generators[0] != concept.intent:
-        beta = _frac(1, concept.intent.bit_count())
-    else:
-        beta = _ZERO
+    beta = beta_term(concept, generators)
     # (alpha + beta) / 2 spelled as one normalization instead of two
     value = _frac(
         alpha.numerator * beta.denominator + beta.numerator * alpha.denominator,
         alpha.denominator * beta.denominator * 2,
     )
-    return BecrBreakdown(alpha, beta, value, base, equiv, count)
+    return BecrBreakdown(alpha, beta, value, base, equiv, len(generators))
 
 
 def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .context import FormalContext
 
@@ -31,25 +30,15 @@ class CoinTossSpec:
             raise ValueError("density must lie in [0, 1]")
 
 
-def coin_toss_context(
-    spec: CoinTossSpec,
-    row_densities: Sequence[float] | None = None,
-) -> FormalContext:
+def coin_toss_context(spec: CoinTossSpec) -> FormalContext:
     """Random context with i.i.d. cells; bit-reproducible per (spec, seed).
 
-    ``row_densities`` optionally overrides the cell probability per object
-    (one value per object), for experiments with non-uniform rows.  Objects
-    are named g1..gN, attributes m1..mM.
+    Objects are named g1..gN, attributes m1..mM.
     """
-    if row_densities is not None:
-        if len(row_densities) != spec.n_objects:
-            raise ValueError("row_densities must list one density per object")
-        if any(not 0.0 <= p <= 1.0 for p in row_densities):
-            raise ValueError("row densities must lie in [0, 1]")
     rng = random.Random(spec.seed)
+    p = spec.density
     rows = []
-    for g in range(spec.n_objects):
-        p = spec.density if row_densities is None else row_densities[g]
+    for _ in range(spec.n_objects):
         mask = 0
         for m in range(spec.n_attributes):
             if rng.random() < p:

@@ -143,7 +143,7 @@ def test_criterion_7_timing_order(davis_ctx):
         start = time.perf_counter()
         coin = coin_toss_context(CoinTossSpec(793, 10, 0.41, 42))
         for ctx in (davis_ctx, coin):
-            report = run_comparison(ctx, timing_repeats=5, threads=1)
+            report = run_comparison(ctx, timing_repeats=5)
             # ordering only; absolute speedups are hardware-dependent
             assert report.mean_time_becr_ns < report.mean_time_stability_ns
         assert time.perf_counter() - start < 60.0

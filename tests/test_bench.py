@@ -22,7 +22,7 @@ from becr import (
     run_comparison,
     stability,
 )
-from becr.bench import REPORT_COLUMNS
+from becr.bench import REPORT_COLUMNS, score_concepts
 
 
 # -- pearson ------------------------------------------------------------------
@@ -105,22 +105,24 @@ def test_xi_undefined_below_two_concepts():
     assert report.pearson_xi is None
 
 
-def test_threaded_scoring_matches_sequential(davis_ctx):
-    seq = run_comparison(davis_ctx, timing_repeats=0, threads=1)
-    par = run_comparison(davis_ctx, timing_repeats=0, threads=3)
-    assert seq.rows == par.rows
-
-
 def test_run_comparison_argument_validation(toy_ctx):
     with pytest.raises(ValueError):
         run_comparison(toy_ctx, timing_repeats=-1)
-    with pytest.raises(ValueError):
-        run_comparison(toy_ctx, threads=0)
 
 
 def test_concept_budget_is_forwarded(toy_ctx):
     with pytest.raises(ConceptBudgetExceeded):
         run_comparison(toy_ctx, timing_repeats=0, concept_budget=5)
+
+
+def test_score_concepts_computes_only_the_selected_index(toy_ctx, toy_lattice):
+    both = score_concepts(toy_ctx, toy_lattice)
+    assert score_concepts(toy_ctx, toy_lattice, index="becr") == \
+        [(breakdown, None) for breakdown, _ in both]
+    assert score_concepts(toy_ctx, toy_lattice, index="stability") == \
+        [(None, stab) for _, stab in both]
+    with pytest.raises(ValueError):
+        score_concepts(toy_ctx, toy_lattice, index="BECR")
 
 
 def test_oversized_intent_is_annotated_with_the_concept():

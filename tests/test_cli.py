@@ -127,6 +127,16 @@ def test_intent_guard_exit(tmp_path, capsys):
     path.write_text(serialize_cxt(wide))
     assert main(["relevance", str(path), "--index", "stability"]) == EXIT_GUARD
     assert capsys.readouterr().err.startswith("becr: concept 0:")
+    # the becr index alone never computes stability, so its guard cannot trip
+    assert main(["relevance", str(path), "--index", "becr"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].startswith("0,1,31,")
+
+
+def test_oversized_csv_field_is_a_parse_failure(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("obj,m1\ng1," + "1" * 131073 + "\n")
+    assert main(["concepts", str(big)]) == EXIT_PARSE
+    assert "field larger than field limit" in capsys.readouterr().err
 
 
 def test_generate_round_trip(capsys):
@@ -150,7 +160,6 @@ def test_generate_is_deterministic(tmp_path):
     ["concepts", "x.cxt", "--bogus"],
     ["relevance", "x.cxt", "--index", "nope"],
     ["bench", "x.cxt", "--timing-repeats", "-1"],
-    ["bench", "x.cxt", "--threads", "0"],
     ["concepts", "x.cxt", "--concept-budget", "0"],
     ["generate", "--objects", "0", "--attributes", "3", "--density", "0.5"],
     ["generate", "--objects", "3", "--attributes", "3", "--density", "1.5"],

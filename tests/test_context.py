@@ -77,6 +77,8 @@ def test_serialize_then_parse_is_identity(toy_ctx, davis_ctx):
     ("B\n\n1\n1\n\ng\nm\nX\nextra", DimensionMismatch),
     ("B\n\n1\n2\n\ng\nm1\nm2\nX", DimensionMismatch),
     ("B\n\n1\n1\n\ng\nm\n?", IllegalCell),
+    ("B\n\n2\n1\n\ng\ng\nm\nX\nX", MalformedHeader),
+    ("B\n\n1\n1\n\n\nm\nX", MalformedHeader),
 ])
 def test_parse_cxt_rejects(text, exc):
     with pytest.raises(exc):
@@ -114,6 +116,11 @@ def test_parse_csv_basic():
     ("obj,m1\n,1\n", MalformedRow),
     ("obj,m1\ng1,2\n", NonBinaryCell),
     ("obj,m1\ng1,yes\n", NonBinaryCell),
+    ("o,a,a\ng,1,0\n", MalformedHeader),
+    ("o,,a\ng,1,0\n", MalformedHeader),
+    ("o,a\ng,1\ng,0\n", MalformedRow),
+    pytest.param("o,a\ng," + "1" * 131073 + "\n", MalformedRow,
+                 id="field-over-csv-limit"),
 ])
 def test_parse_csv_rejects(text, exc):
     with pytest.raises(exc):
@@ -131,8 +138,27 @@ def test_parse_fimi_numeric_item_order():
 
 
 def test_parse_fimi_rejects_non_integer():
-    with pytest.raises(MalformedRow):
-        parse_fimi("1 2\n3 x\n")
+    for text in ("1 2\n3 x\n", "²", "1 ٣", "1" * 5000):
+        with pytest.raises(MalformedRow):
+            parse_fimi(text)
+
+
+# characters that steer the parsers into their branches, plus any character
+_parser_text = st.text(st.sampled_from("B\n\r X.x01,\"²-") | st.characters())
+
+
+@given(
+    st.sampled_from([parse_cxt, parse_csv, parse_fimi]),
+    _parser_text | st.builds(
+        "B\n\n{}\n{}\n\n{}".format,
+        st.integers(0, 3), st.integers(0, 3), _parser_text,
+    ),
+)
+def test_parsers_raise_only_parse_errors(parse, text):
+    try:
+        assert isinstance(parse(text), FormalContext)
+    except ParseError:
+        pass
 
 
 # -- construction -------------------------------------------------------------

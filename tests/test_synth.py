@@ -45,13 +45,3 @@ def test_spec_validation():
         CoinTossSpec(3, 3, -0.1, 0)
     with pytest.raises(ValueError, match="density"):
         CoinTossSpec(3, 3, 1.1, 0)
-
-
-def test_row_densities():
-    spec = CoinTossSpec(2, 4, 0.5, 1)
-    ctx = coin_toss_context(spec, row_densities=[0.0, 1.0])
-    assert ctx.rows == (0, 0b1111)
-    with pytest.raises(ValueError, match="one density per object"):
-        coin_toss_context(spec, row_densities=[0.5])
-    with pytest.raises(ValueError, match="lie in"):
-        coin_toss_context(spec, row_densities=[0.5, 1.5])
