@@ -68,7 +68,7 @@ def _load_context(path_str: str, fmt: str) -> FormalContext:
             )
     try:
         text = path.read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _CliFailure(EXIT_PARSE, f"cannot read {path}: {err}") from None
     try:
         return _PARSERS[fmt](text)

@@ -235,13 +235,16 @@ def parse_cxt(text: str) -> FormalContext:
         raise MalformedHeader("truncated header")
     if lines[1].strip():
         raise MalformedHeader("line 2 must be blank")
+    counts = lines[2].strip(), lines[3].strip()
+    # int() alone admits signs, underscores and non-ASCII digits such as '١'
+    if not all(c.isascii() and c.isdigit() for c in counts):
+        raise MalformedHeader(
+            "object/attribute counts must be non-negative integers"
+        )
     try:
-        n = int(lines[2])
-        m = int(lines[3])
-    except ValueError:
-        raise MalformedHeader("object/attribute counts must be integers") from None
-    if n < 0 or m < 0:
-        raise MalformedHeader("object/attribute counts must be non-negative")
+        n, m = map(int, counts)
+    except ValueError:  # over the interpreter's int digit limit
+        raise MalformedHeader("object/attribute count too long") from None
     if lines[4].strip():
         raise MalformedHeader("line 5 must be blank")
     body = lines[5:]

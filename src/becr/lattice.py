@@ -6,6 +6,13 @@ enumerated by Ganter's next-closure scheme in ascending lectic order of
 intents (attribute 0 has the highest priority), which makes concept ids --
 0-based positions in that order -- deterministic for a given context.  Id 0
 is always the supremum (G, G') and the last id the infimum (M', M).
+
+Covers come from Lindig's neighbour step (Lindig 2000, "Fast concept
+analysis"): the lower neighbours of (A, B) are the inclusion-minimal
+concepts among the candidates (A ∩ m', (A ∩ m')') for m ∉ B, so a lattice of
+C concepts costs at most C * |M| candidate closures and no comparison of
+concept pairs.  Attribute extents m' are read off the concepts themselves,
+which is why ``build_covers`` needs the complete concept set of one context.
 """
 from __future__ import annotations
 
@@ -130,24 +137,65 @@ class ConceptLattice:
 
 
 def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
-    """Compute upper/lower covers by minimal-superset filtering per concept."""
-    n = len(concepts)
-    by_size = sorted(range(n), key=lambda i: concepts[i].extent.bit_count())
-    upper: list[tuple[int, ...]] = [()] * n
-    lower: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        a = concepts[i].extent
-        keep: list[int] = []
-        for j in by_size:  # ascending extent size: minimal supersets kept first
-            aj = concepts[j].extent
-            if aj == a or (a & aj) != a:
+    """Cover relation by Lindig's neighbour step (C * |M| candidate closures).
+
+    ``concepts`` must be the complete concept set of one context, as
+    ``enumerate_concepts`` returns it; the ids of the result are positions in
+    that list.  A lower neighbour that the list lacks raises ValueError.
+    """
+    index = {c.intent: i for i, c in enumerate(concepts)}
+    objects = attributes = 0
+    for c in concepts:
+        objects |= c.extent
+        attributes |= c.intent
+    # m' is the union of the extents whose intent holds m; not_ext[1 << m]
+    # is G \ m', so "e lies in m'" is the one AND "not e & not_ext[1 << m]"
+    not_ext = {}
+    for m in iter_bits(attributes):
+        bit = 1 << m
+        m_extent = 0
+        for c in concepts:
+            if c.intent & bit:
+                m_extent |= c.extent
+        not_ext[bit] = objects ^ m_extent
+    lower: list[tuple[int, ...]] = []
+    upper: list[list[int]] = [[] for _ in concepts]
+    for i, c in enumerate(concepts):
+        a, b = c.extent, c.intent
+        # Lindig's set: attributes whose candidate has not been shown to lie
+        # strictly below another candidate (or to repeat a later one)
+        minimal = outside = attributes & ~b
+        found = []
+        rest = outside
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            e = a & ~not_ext[bit]
+            others = minimal ^ bit
+            while others:
+                low = others & -others
+                if not e & not_ext[low]:  # e lies in another minimal n'
+                    break
+                others ^= low
+            if others:
+                minimal ^= bit
                 continue
-            if not any((concepts[k].extent & aj) == concepts[k].extent for k in keep):
-                keep.append(j)
-        upper[i] = tuple(sorted(keep))
-        for j in keep:
-            lower[j].append(i)
-    return ConceptLattice(concepts, upper, [tuple(sorted(v)) for v in lower])
+            d = b | bit
+            dropped = outside & ~minimal
+            while dropped:
+                low = dropped & -dropped
+                dropped ^= low
+                if not e & not_ext[low]:
+                    d |= low
+            j = index.get(d)
+            if j is None or concepts[j].extent != e:
+                raise ValueError(
+                    f"concept {i} has a lower neighbour missing from the list"
+                )
+            found.append(j)
+            upper[j].append(i)
+        lower.append(tuple(sorted(found)))
+    return ConceptLattice(concepts, [tuple(u) for u in upper], lower, index)
 
 
 def attribute_concept(lattice: ConceptLattice, m: int) -> FormalConcept:

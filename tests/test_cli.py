@@ -34,6 +34,15 @@ def test_missing_file_is_a_parse_failure(capsys):
     assert capsys.readouterr().err.startswith("becr: cannot read")
 
 
+def test_undecodable_file_is_a_parse_failure(tmp_path, capsys):
+    bad = tmp_path / "bad.cxt"
+    bad.write_bytes(b"B\n\n1\n1\n\n\xff\nm\nX\n")
+    assert main(["concepts", str(bad)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"becr: cannot read {bad}: ")
+    assert "can't decode byte 0xff" in err
+
+
 def test_malformed_file_is_a_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.cxt"
     bad.write_text("Z\nnope\n")

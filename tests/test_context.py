@@ -79,6 +79,10 @@ def test_serialize_then_parse_is_identity(toy_ctx, davis_ctx):
     ("B\n\n1\n1\n\ng\nm\n?", IllegalCell),
     ("B\n\n2\n1\n\ng\ng\nm\nX\nX", MalformedHeader),
     ("B\n\n1\n1\n\n\nm\nX", MalformedHeader),
+    # counts are runs of ASCII digits, not whatever int() accepts
+    ("B\n\n\u0661\n1\n\ng\nm\nX", MalformedHeader),
+    ("B\n\n1\n+1\n\ng\nm\nX", MalformedHeader),
+    ("B\n\n 0_1 \n1\n\ng\nm\nX", MalformedHeader),
 ])
 def test_parse_cxt_rejects(text, exc):
     with pytest.raises(exc):

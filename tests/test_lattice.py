@@ -125,22 +125,66 @@ def test_toy_covers(toy_ctx, toy_lattice):
     assert toy_lattice.lower_covers[12] == ()
 
 
+def transpose(covers):
+    """Inverse cover lists; ascending because i is visited in order."""
+    inverse = [[] for _ in covers]
+    for i, ups in enumerate(covers):
+        for j in ups:
+            inverse[j].append(i)
+    return [tuple(v) for v in inverse]
+
+
 def test_lower_covers_are_the_transpose(toy_lattice, davis_lattice):
     for lattice in (toy_lattice, davis_lattice):
-        n = len(lattice)
-        transpose = [[] for _ in range(n)]
-        for i in range(n):
-            for j in lattice.upper_covers[i]:
-                transpose[j].append(i)
-        assert [tuple(sorted(v)) for v in transpose] == list(lattice.lower_covers)
+        assert list(lattice.lower_covers) == transpose(lattice.upper_covers)
+
+
+def assert_covers_match_oracle(lattice):
+    oracle = upper_covers_oracle(lattice.concepts)
+    assert list(lattice.upper_covers) == oracle
+    assert list(lattice.lower_covers) == transpose(oracle)
 
 
 def test_covers_fuzz():
     rng = random.Random(202)
     for _ in range(60):
         ctx = random_context(rng)
-        lattice = build_covers(enumerate_concepts(ctx))
-        assert list(lattice.upper_covers) == upper_covers_oracle(lattice.concepts)
+        assert_covers_match_oracle(build_covers(enumerate_concepts(ctx)))
+
+
+def test_covers_fuzz_multiword_extents():
+    # more than 64 objects: every extent spans several machine words
+    rng = random.Random(203)
+    for _ in range(12):
+        n, m = rng.randint(65, 260), rng.randint(1, 7)
+        ctx = FormalContext.from_rows(
+            [f"g{i}" for i in range(n)],
+            [f"m{j}" for j in range(m)],
+            [rng.getrandbits(m) for _ in range(n)],
+        )
+        assert_covers_match_oracle(build_covers(enumerate_concepts(ctx)))
+
+
+def test_covers_of_brute_force_concepts():
+    rng = random.Random(204)
+    for _ in range(40):
+        ctx = random_context(rng, max_objects=10, max_attributes=8)
+        assert_covers_match_oracle(build_covers(brute_force_concepts(ctx)))
+
+
+def test_covers_need_the_complete_concept_set(toy_ctx, toy_concepts):
+    # dropping a non-top concept that is no attribute concept mu(m) leaves
+    # every attribute extent intact, so the gap shows as a missing neighbour
+    attribute_intents = {toy_ctx.close_attrs(1 << m)
+                         for m in range(toy_ctx.n_attributes)}
+    dropped = 0
+    for i, c in enumerate(toy_concepts[1:], start=1):
+        if c.intent in attribute_intents:
+            continue
+        with pytest.raises(ValueError, match="missing from the list"):
+            build_covers(toy_concepts[:i] + toy_concepts[i + 1:])
+        dropped += 1
+    assert dropped == 7
 
 
 def test_single_concept_lattice():

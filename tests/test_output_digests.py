@@ -1,0 +1,51 @@
+"""Byte-identity gate: pinned SHA-256 digests of CLI output.
+
+Algorithm changes (enumeration, covers, generators, scoring) must leave
+these outputs byte for byte as they are.  A digest that moves means the
+output changed; it may be re-pinned only by a change that means to alter
+the output and says so.
+"""
+import hashlib
+
+import pytest
+
+from becr.cli import EXIT_OK, main
+from conftest import DATA
+
+DAVIS = str(DATA / "davis.cxt")
+GEN_793 = ["--objects", "793", "--attributes", "10", "--density", "0.41",
+           "--seed", "42"]
+
+DIGESTS = {
+    ("davis", "concepts"):
+        "8d7805c99a3f377ceed0d2c30d936268c7055ccb1506cc472d65a12c5961cd92",
+    ("davis", "bench", "worked-example"):
+        "49c906e0d6262204a094da0006b0c904d137ea3515669f32c82135b9814168fd",
+    ("davis", "bench", "literal"):
+        "782d55156d4a95d27c20e3316d28540c4cd9470d16400fb3c5e11903fa4c2da8",
+    ("793x10", "concepts"):
+        "54d48015dac190c94a234076a2aa1e1b56f51022c135f995bb57840d2ff1fbc8",
+    ("793x10", "bench", "worked-example"):
+        "c8af24c4115929bbd6f9851f5506cc472a5cdcd0a5f6f4a300a4178411c1d3c1",
+    ("793x10", "bench", "literal"):
+        "c8af24c4115929bbd6f9851f5506cc472a5cdcd0a5f6f4a300a4178411c1d3c1",
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    generated = tmp_path_factory.mktemp("digests") / "coin793x10.cxt"
+    assert main(["generate", *GEN_793, "--output", str(generated)]) == EXIT_OK
+    return {"davis": DAVIS, "793x10": str(generated)}
+
+
+@pytest.mark.parametrize("key", list(DIGESTS), ids="-".join)
+def test_output_digest(key, inputs, capsys):
+    name, command, *rule = key
+    argv = [command, inputs[name]]
+    if rule:
+        argv += ["--no-timing", "--base-rule", rule[0]]
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[key]
