@@ -104,6 +104,16 @@ def mean_time(times_ns: Sequence[int]) -> float:
     return statistics.fmean(times_ns)
 
 
+def dataset_stats(
+    ctx: FormalContext, n_concepts: int
+) -> tuple[int, int, int, int, float]:
+    """(|G|, |M|, |I|, |C|, density); density reads 0.0 on a 0-area context."""
+    density = (float(ctx.density())
+               if ctx.n_objects and ctx.n_attributes else 0.0)
+    return (ctx.n_objects, ctx.n_attributes, ctx.n_incidences, n_concepts,
+            density)
+
+
 def _min_of_repeats(fn, repeats: int) -> int:
     fn()  # warm-up
     best = None
@@ -196,15 +206,8 @@ def run_comparison(
             xi = None
     tau_becr = mean_time([r.t_becr_ns for r in rows]) if rows else 0.0
     tau_stab = mean_time([r.t_stability_ns for r in rows]) if rows else 0.0
-    stats = (
-        ctx.n_objects,
-        ctx.n_attributes,
-        ctx.n_incidences,
-        len(concepts),
-        (float(ctx.density())
-         if ctx.n_objects and ctx.n_attributes else 0.0),
-    )
-    return ComparisonReport(rows, xi, tau_becr, tau_stab, stats)
+    return ComparisonReport(rows, xi, tau_becr, tau_stab,
+                            dataset_stats(ctx, len(concepts)))
 
 
 def format_score(value: Fraction) -> str:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .bench import (
     INDEXES,
+    dataset_stats,
     emit_csv,
     emit_scatter,
     format_score,
@@ -83,21 +84,12 @@ def _write_output(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
-def _stats_line(ctx: FormalContext, n_concepts: int) -> str:
-    if ctx.n_objects and ctx.n_attributes:
-        theta = float(ctx.density())
-    else:
-        theta = 0.0
-    return (
-        f"{ctx.n_objects} {ctx.n_attributes} {ctx.n_incidences} "
-        f"{n_concepts} {theta:.3f}"
-    )
-
-
 def _cmd_concepts(args) -> int:
     ctx = _load_context(args.input, args.format)
     concepts = enumerate_concepts(ctx, budget=args.concept_budget)
-    print(_stats_line(ctx, len(concepts)), file=sys.stderr)
+    # |G| |M| |I| |C| density
+    print("{} {} {} {} {:.3f}".format(*dataset_stats(ctx, len(concepts))),
+          file=sys.stderr)
     _write_output(concepts_csv(ctx, concepts), args.output)
     return EXIT_OK
 

@@ -278,7 +278,16 @@ def parse_cxt(text: str) -> FormalContext:
 
 
 def serialize_cxt(ctx: FormalContext) -> str:
-    """Render Burmeister format with '\\n' line endings."""
+    """Render Burmeister format with '\\n' line endings.
+
+    Raises ValueError for an object or attribute name that holds a line
+    boundary (any that ``str.splitlines`` breaks on), since ``parse_cxt``
+    could not read it back as one name.
+    """
+    for kind, names in (("object", ctx.objects), ("attribute", ctx.attributes)):
+        for name in names:
+            if name.splitlines() != [name]:
+                raise ValueError(f"{kind} name {name!r} holds a line break")
     out = ["B", "", str(ctx.n_objects), str(ctx.n_attributes), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)

@@ -3,12 +3,12 @@
 A generator of a concept (A, B) is a subset h of B with h'' = B; minimal
 generators are the inclusion-minimal ones.  They coincide with the minimal
 transversals of the concept's faces -- for each upper cover (Au, Bu) the face
-is B minus Bu -- which is what the incremental algorithm below computes, one
-face at a time, pruning non-minimal candidates after each step.
+is B minus Bu -- which is what Berge's transversal step below computes, one
+face at a time, keeping every candidate minimal as it goes.
 """
 from __future__ import annotations
 
-from .context import AttrSet, FormalContext
+from .context import AttrSet, FormalContext, iter_bits
 from .lattice import ConceptLattice, FormalConcept
 
 BRUTE_FORCE_MAX_INTENT = 20
@@ -28,23 +28,6 @@ def _generator_sort_key(mask: int) -> tuple[int, list[int]]:
     return (len(bits), bits)
 
 
-def _prune_non_minimal(masks: list[int]) -> list[int]:
-    """Keep the inclusion-minimal masks (input may contain duplicates).
-
-    Scanning by ascending popcount means a kept mask can never be subsumed
-    by a later one; duplicates subsume each other and drop out on the spot.
-    """
-    masks.sort(key=int.bit_count)
-    keep: list[int] = []
-    for mask in masks:
-        for kept in keep:
-            if (kept & mask) == kept:
-                break
-        else:
-            keep.append(mask)
-    return keep
-
-
 def faces(lattice: ConceptLattice, concept: FormalConcept) -> list[AttrSet]:
     """Intent differences B \\ Bu, one per upper cover of the concept."""
     i = lattice.index_of(concept)
@@ -57,29 +40,27 @@ def minimal_generators(
 ) -> list[AttrSet]:
     """All minimal generators of the concept's intent.
 
-    Incremental transversal over the faces: candidates meeting the new face
-    survive, the rest are extended by each of its attributes.  Returns masks
-    sorted by (size, attribute order).  A concept without upper covers (the
-    supremum) has the empty set as its only generator.
+    Berge's transversal step (Berge 1989), one face at a time, starting from
+    the empty set.  Candidates that meet the new face survive; each one that
+    misses it is extended by every attribute ``a`` of the face.  Candidates
+    form an antichain, so no extension lies inside a survivor and no two
+    extensions coincide or contain each other: ``cand | a`` is non-minimal
+    exactly when it contains a survivor that meets the face in ``a`` alone,
+    and that is the only test made.  Returns masks sorted by (size,
+    attribute order).  A concept without upper covers (the supremum) has the
+    empty set as its only generator.
     """
-    cover_ids = lattice.upper_covers[lattice.index_of(concept)]
-    if not cover_ids:
-        return [0]
     b = concept.intent
     concepts = lattice.concepts
-    remaining = iter(cover_ids)
-    face = b & ~concepts[next(remaining)].intent
-    h: list[int] = []
-    while face:
-        low = face & -face
-        face ^= low
-        h.append(low)
-    pruned = False
-    for cid in remaining:
+    h = [0]
+    for cid in lattice.upper_covers[lattice.index_of(concept)]:
         face = b & ~concepts[cid].intent
         if len(h) == 1:
-            # extensions of a single candidate by distinct attributes form
-            # an antichain and are appended in canonical order
+            # Same result as the general step, without its lists and dict.
+            # 833 of the 848 concepts of coin-toss 793x10 have one generator;
+            # without this step generators cost about 1.6x as much there and
+            # mean BECR time rises from about 0.83 to 0.97-1.01 of mean
+            # stability time, against acceptance criterion 7.
             cand = h[0]
             if cand & face:
                 continue
@@ -89,23 +70,33 @@ def minimal_generators(
                 face ^= low
                 h.append(cand | low)
             continue
-        grown: list[int] | None = None  # allocated only when a candidate misses
-        for pos, cand in enumerate(h):
-            if cand & face:
-                if grown is not None:
-                    grown.append(cand)
-            else:
-                if grown is None:
-                    grown = h[:pos]
-                rest = face
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    grown.append(cand | low)
-        if grown is not None:
-            h = _prune_non_minimal(grown)
-            pruned = True
-    if pruned and len(h) > 1:
+        kept: list[int] = []
+        missed: list[int] = []
+        # a -> the survivors that meet the face in a alone
+        blockers: dict[int, list[int]] = {}
+        for cand in h:
+            meet = cand & face
+            if not meet:
+                missed.append(cand)
+                continue
+            kept.append(cand)
+            if meet & (meet - 1) == 0:
+                blockers.setdefault(meet, []).append(cand)
+        if not missed:
+            continue
+        for cand in missed:
+            rest = face
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                ext = cand | low
+                for blocker in blockers.get(low, ()):
+                    if blocker & ext == blocker:
+                        break
+                else:
+                    kept.append(ext)
+        h = kept
+    if len(h) > 1:
         h.sort(key=_generator_sort_key)
     return h
 
@@ -122,16 +113,18 @@ def brute_force_minimal_generators(
         raise IntentTooLarge(
             f"powerset oracle caps at {BRUTE_FORCE_MAX_INTENT} intent attributes"
         )
-    gens: list[int] = []
+    gens: set[int] = set()
     sub = b
     while True:
         if ctx.close_attrs(sub) == b:
-            gens.append(sub)
+            gens.add(sub)
         if sub == 0:
             break
         sub = (sub - 1) & b
+    # closure is monotone, so a generator that contains a smaller one also
+    # contains one that is a single attribute smaller
     minimal = [
         h for h in gens
-        if not any(other != h and (other & h) == other for other in gens)
+        if not any(h & ~(1 << m) in gens for m in iter_bits(h))
     ]
     return sorted(minimal, key=_generator_sort_key)

@@ -35,12 +35,15 @@ F = Fraction
 
 @contextmanager
 def criterion(num, label):
+    """Record the criterion's PASS/FAIL line, with any notes the body adds."""
+    notes = []
+    verdict = "FAIL"
     try:
-        yield
-    except BaseException:
-        record_criterion(f"criterion {num} ({label}): FAIL")
-        raise
-    record_criterion(f"criterion {num} ({label}): PASS")
+        yield notes
+        verdict = "PASS"
+    finally:
+        suffix = f" ({', '.join(notes)})" if notes else ""
+        record_criterion(f"criterion {num} ({label}): {verdict}{suffix}")
 
 
 def random_rows(rng, n, m):
@@ -139,11 +142,13 @@ def test_criterion_6_correlation(davis_ctx):
 
 
 def test_criterion_7_timing_order(davis_ctx):
-    with criterion(7, "mean scoring time ordering"):
+    with criterion(7, "mean scoring time ordering") as notes:
         start = time.perf_counter()
         coin = coin_toss_context(CoinTossSpec(793, 10, 0.41, 42))
-        for ctx in (davis_ctx, coin):
+        for name, ctx in (("davis", davis_ctx), ("793x10", coin)):
             report = run_comparison(ctx, timing_repeats=5)
+            ratio = report.mean_time_becr_ns / report.mean_time_stability_ns
+            notes.append(f"{name} {ratio:.2f}")  # mean BECR / stability time
             # ordering only; absolute speedups are hardware-dependent
             assert report.mean_time_becr_ns < report.mean_time_stability_ns
         assert time.perf_counter() - start < 60.0

@@ -22,7 +22,7 @@ from becr import (
     run_comparison,
     stability,
 )
-from becr.bench import REPORT_COLUMNS, score_concepts
+from becr.bench import REPORT_COLUMNS, dataset_stats, score_concepts
 
 
 # -- pearson ------------------------------------------------------------------
@@ -80,6 +80,13 @@ def test_toy_report_rows_match_direct_scoring(toy_ctx, toy_lattice):
     assert report.mean_time_stability_ns == 0.0
     assert report.dataset_stats == (5, 8, 29, 13, 0.725)
     assert report.pearson_xi is not None
+
+
+def test_dataset_stats_on_zero_area_contexts():
+    assert dataset_stats(FormalContext.from_rows([], ["m"], []), 1) \
+        == (0, 1, 0, 1, 0.0)
+    assert dataset_stats(FormalContext.from_rows(["g"], [], [0]), 1) \
+        == (1, 0, 0, 1, 0.0)
 
 
 def test_report_is_deterministic_without_timing(toy_ctx):

@@ -22,6 +22,13 @@ def test_concepts_stats_and_csv(capsys):
     assert len(lines) == 14
 
 
+def test_concepts_stats_on_a_context_without_objects(tmp_path, capsys):
+    path = tmp_path / "empty.cxt"
+    path.write_text("B\n\n0\n2\n\nm1\nm2\n")
+    assert main(["concepts", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == "0 2 0 1 0.000\n"
+
+
 def test_concepts_output_file(tmp_path, capsys):
     target = tmp_path / "concepts.csv"
     assert main(["concepts", TOY, "--output", str(target)]) == EXIT_OK

@@ -65,6 +65,38 @@ def test_serialize_then_parse_is_identity(toy_ctx, davis_ctx):
         assert parse_cxt(serialize_cxt(ctx)) == ctx
 
 
+@pytest.mark.parametrize("name", [
+    "a\nb", "a\rb", "a\r\nb", "a\x85b", "a\u2028b", "a\x0cb", "a\n",
+])
+@pytest.mark.parametrize("kind", ["object", "attribute"])
+def test_serialize_cxt_rejects_line_breaks_in_names(kind, name):
+    # parse_cxt splits on every str.splitlines boundary, so such a name
+    # would come back as two lines and a DimensionMismatch
+    objects, attributes = ([name], ["m"]) if kind == "object" else (["g"], [name])
+    ctx = FormalContext.from_rows(objects, attributes, [1])
+    with pytest.raises(ValueError, match=f"{kind} name"):
+        serialize_cxt(ctx)
+
+
+_names = st.text(st.characters() | st.sampled_from("\n\r\x85\u2028"),
+                 min_size=1, max_size=4)
+
+
+@given(st.data())
+def test_serialize_cxt_round_trips_or_refuses(data):
+    objects = data.draw(st.lists(_names, max_size=5, unique=True))
+    attributes = data.draw(st.lists(_names, max_size=5, unique=True))
+    rows = data.draw(st.lists(st.integers(0, (1 << len(attributes)) - 1),
+                              min_size=len(objects), max_size=len(objects)))
+    ctx = FormalContext.from_rows(objects, attributes, rows)
+    try:
+        text = serialize_cxt(ctx)
+    except ValueError:
+        assert any(n.splitlines() != [n] for n in objects + attributes)
+        return
+    assert parse_cxt(text) == ctx
+
+
 @pytest.mark.parametrize("text,exc", [
     ("", MalformedHeader),
     ("A\n\n1\n1\n\ng\nm\nX", MalformedHeader),

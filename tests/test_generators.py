@@ -4,10 +4,12 @@ import random
 import pytest
 
 from becr import (
+    CoinTossSpec,
     FormalContext,
     IntentTooLarge,
     brute_force_minimal_generators,
     build_covers,
+    coin_toss_context,
     enumerate_concepts,
     faces,
     iter_bits,
@@ -71,6 +73,38 @@ def test_matches_powerset_oracle_fuzz():
             expected = sorted(
                 brute_force_minimal_generators(ctx, concept), key=generator_key)
             assert minimal_generators(lattice, concept) == expected
+
+
+def test_matches_powerset_oracle_on_large_families():
+    # Dense contexts with 10-14 attributes: intents up to |M|, families of
+    # dozens of generators, and Berge steps where a survivor blocks an
+    # extension or meets the face in two or more attributes.
+    rng = random.Random(404)
+    largest = 0
+    for _ in range(10):
+        n = rng.randint(6, 12)
+        m = rng.randint(10, 14)
+        p = rng.uniform(0.5, 0.85)
+        rows = [sum(1 << j for j in range(m) if rng.random() < p)
+                for _ in range(n)]
+        ctx = FormalContext.from_rows(
+            [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows)
+        lattice = build_covers(enumerate_concepts(ctx))
+        for concept in lattice.concepts:
+            gens = minimal_generators(lattice, concept)
+            assert gens == brute_force_minimal_generators(ctx, concept)
+            largest = max(largest, len(gens))
+    assert largest >= 50
+
+
+@pytest.mark.parametrize("spec,total,largest", [
+    (CoinTossSpec(1000, 16, 0.3, 42), 8839, 1425),
+    (CoinTossSpec(14, 32, 0.6, 42), 14162, 4005),
+], ids=["lattice-1000x16", "wide-14x32"])
+def test_family_counts_on_benchmark_contexts(spec, total, largest):
+    lattice = build_covers(enumerate_concepts(coin_toss_context(spec)))
+    sizes = [len(minimal_generators(lattice, c)) for c in lattice.concepts]
+    assert (sum(sizes), max(sizes)) == (total, largest)
 
 
 def test_powerset_oracle_intent_guard():
