@@ -1,9 +1,9 @@
 """Byte-identity gate: pinned SHA-256 digests of CLI output.
 
-Algorithm changes (enumeration, covers, generators, scoring) must leave
-these outputs byte for byte as they are.  A digest that moves means the
-output changed; it may be re-pinned only by a change that means to alter
-the output and says so.
+Algorithm changes (enumeration, covers, generators, scoring, emission)
+must leave these outputs byte for byte as they are.  A digest that moves
+means the output changed; it may be re-pinned only by a change that means
+to alter the output and says so.
 """
 import hashlib
 
@@ -29,6 +29,20 @@ DIGESTS = {
         "c8af24c4115929bbd6f9851f5506cc472a5cdcd0a5f6f4a300a4178411c1d3c1",
     ("793x10", "bench", "literal"):
         "c8af24c4115929bbd6f9851f5506cc472a5cdcd0a5f6f4a300a4178411c1d3c1",
+    ("davis", "relevance", "becr"):
+        "349dccc1b532f6151e35414cfb0c73f0db760433516641afd7007a6b43a77257",
+    ("davis", "relevance", "stability"):
+        "b06146e15a9596609330d9252cf2aa094bbd7f513e13bb6c390295586030e892",
+    ("davis", "relevance", "both"):
+        "98514996d60793e221c3d66b0c768b2585c13b21db22add2a8819ce6271eafc4",
+    ("davis", "relevance", "becr", "literal"):
+        "ac7212c833df11fe9c54c67462228d4b76f64d93792d9ba37e3da9f99ae52cce",
+    ("793x10", "relevance", "becr"):
+        "45bf1f0e84739f3da3d7fe1f7fe09891f847b71a1e211132d2101893be733413",
+    ("793x10", "relevance", "stability"):
+        "18872943a4f5c5f036353f87bd75cb9ca1d66ef4eaf51fc9b520ebfca7639177",
+    ("793x10", "relevance", "both"):
+        "b256e602db32e068716ccced06856bed9926ea092bf55f8ed39397ae2eb38d2e",
 }
 
 
@@ -41,10 +55,15 @@ def inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("key", list(DIGESTS), ids="-".join)
 def test_output_digest(key, inputs, capsys):
-    name, command, *rule = key
+    name, command, *rest = key
     argv = [command, inputs[name]]
-    if rule:
-        argv += ["--no-timing", "--base-rule", rule[0]]
+    if command == "bench":  # rest: base rule
+        argv += ["--no-timing", "--base-rule", *rest]
+    elif command == "relevance":  # rest: index, then an optional base rule
+        index, *rule = rest
+        argv += ["--index", index]
+        if rule:
+            argv += ["--base-rule", *rule]
     capsys.readouterr()
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
