@@ -1,12 +1,13 @@
 """Side-by-side index comparison: scores, timing, correlation, CSV emission.
 
-The report carries one row per concept.  Per-concept times are wall-clock
-nanoseconds, measured sequentially on one thread as the minimum over
-``timing_repeats`` runs after one warm-up run; BECR timing includes the
-minimal-generator computation it depends on.  The summary correlation is
-Pearson's coefficient over the (BECR, stability) value pairs and is None
-when it is undefined (fewer than two concepts, or an index constant across
-all concepts).
+The score table has one ScoreRow per concept; ``emit_table`` writes it for
+``becr bench`` and ``becr relevance``.  Per-concept times are wall-clock ns,
+measured sequentially on one thread as the minimum over ``timing_repeats``
+runs after one warm-up run; BECR timing includes the minimal-generator
+computation it depends on.  The summary correlation is Pearson's
+coefficient over the (BECR, stability) value pairs and is None when it is
+undefined (fewer than two concepts, or an index constant across all
+concepts).
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .context import FormalContext
@@ -24,10 +26,7 @@ from .lattice import (
     build_covers,
     enumerate_concepts,
 )
-from .relevance import BaseRule, BecrBreakdown, StabilityScore, becr, stability
-
-# choices for score_concepts: which of the two indices to compute
-INDEXES = ("becr", "stability", "both")
+from .relevance import BaseRule, becr, stability
 
 REPORT_COLUMNS = (
     "concept_id",
@@ -43,6 +42,16 @@ REPORT_COLUMNS = (
     "t_becr_ns",
     "t_stability_ns",
 )
+# the columns written as scores by format_score; the others are integers
+_SCORE_COLUMNS = frozenset(("alpha", "beta", "becr", "stability"))
+
+# the choices of which indices score_concepts computes, and the
+# REPORT_COLUMNS that `becr relevance --index` writes for each
+INDEXES = {
+    "becr": tuple(c for c in REPORT_COLUMNS[:-2] if c != "stability"),
+    "stability": REPORT_COLUMNS[:3] + ("stability",),
+    "both": REPORT_COLUMNS[:-2],
+}
 
 
 class ZeroVariance(ValueError):
@@ -57,20 +66,22 @@ class EmptyInput(ValueError):
     """An aggregate over no values."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScoreRow:
+    """One concept's scores, with None in the fields of an index not
+    computed; not frozen, so that the timing pass sets the times in place."""
     concept_id: int
     extent_size: int
     intent_size: int
-    alpha: Fraction
-    beta: Fraction
-    becr: Fraction
-    stability: Fraction
-    n_mingen: int
-    n_base: int
-    n_equiv: int
-    t_becr_ns: int
-    t_stability_ns: int
+    alpha: Fraction | None = None
+    beta: Fraction | None = None
+    becr: Fraction | None = None
+    stability: Fraction | None = None
+    n_mingen: int | None = None
+    n_base: int | None = None
+    n_equiv: int | None = None
+    t_becr_ns: int = 0
+    t_stability_ns: int = 0
 
 
 @dataclass
@@ -131,25 +142,33 @@ def score_concepts(
     lattice: ConceptLattice,
     rule: BaseRule = BaseRule.WORKED_EXAMPLE,
     index: str = "both",
-) -> list[tuple[BecrBreakdown | None, StabilityScore | None]]:
-    """(BECR breakdown, stability) for each concept id, untimed.
+) -> list[ScoreRow]:
+    """One ScoreRow per concept id, in id order, with times 0.
 
-    ``index`` is one of INDEXES; an index not selected is never computed
-    and reads None, so "becr" is not bound by the stability intent guard.
+    ``index`` is one of INDEXES; the fields of an index not selected are
+    None and never computed, so "becr" skips the stability intent guard.
     A tripped guard re-raises IntentTooLarge naming the concept id.
     """
     if index not in INDEXES:
-        raise ValueError(f"index must be one of {INDEXES}, got {index!r}")
-    scored = []
+        raise ValueError(f"index must be one of {tuple(INDEXES)}, "
+                         f"got {index!r}")
+    rows = []
     for i, concept in enumerate(lattice.concepts):
+        scores = {}
         try:
-            breakdown = (None if index == "stability"
-                         else becr(ctx, lattice, concept, rule))
-            stab = None if index == "becr" else stability(ctx, concept)
+            if index != "stability":
+                b = becr(ctx, lattice, concept, rule)
+                scores.update(alpha=b.alpha, beta=b.beta, becr=b.becr,
+                              n_mingen=b.generator_count,
+                              n_base=b.base_attributes.bit_count(),
+                              n_equiv=b.equivalent_attributes.bit_count())
+            if index != "becr":
+                scores["stability"] = stability(ctx, concept).value
         except IntentTooLarge as err:
             raise IntentTooLarge(f"concept {i}: {err}") from None
-        scored.append((breakdown, stab))
-    return scored
+        rows.append(ScoreRow(i, concept.extent.bit_count(),
+                             concept.intent.bit_count(), **scores))
+    return rows
 
 
 def run_comparison(
@@ -167,33 +186,15 @@ def run_comparison(
     concepts = enumerate_concepts(ctx, budget=concept_budget)
     lattice = build_covers(concepts)
 
-    rows = []
-    for i, (breakdown, stab) in enumerate(score_concepts(ctx, lattice, rule)):
-        concept = concepts[i]
-        t_becr = t_stab = 0
-        if timing_repeats > 0:
-            t_becr = _min_of_repeats(
+    rows = score_concepts(ctx, lattice, rule)
+    if timing_repeats > 0:
+        for row, concept in zip(rows, concepts):
+            row.t_becr_ns = _min_of_repeats(
                 lambda: becr(ctx, lattice, concept, rule), timing_repeats
             )
-            t_stab = _min_of_repeats(
+            row.t_stability_ns = _min_of_repeats(
                 lambda: stability(ctx, concept), timing_repeats
             )
-        rows.append(
-            ScoreRow(
-                concept_id=i,
-                extent_size=concept.extent.bit_count(),
-                intent_size=concept.intent.bit_count(),
-                alpha=breakdown.alpha,
-                beta=breakdown.beta,
-                becr=breakdown.becr,
-                stability=stab.value,
-                n_mingen=breakdown.generator_count,
-                n_base=breakdown.base_attributes.bit_count(),
-                n_equiv=breakdown.equivalent_attributes.bit_count(),
-                t_becr_ns=t_becr,
-                t_stability_ns=t_stab,
-            )
-        )
 
     xi = None
     if len(rows) >= 2:
@@ -215,27 +216,21 @@ def format_score(value: Fraction) -> str:
     return f"{float(value):.6f}"
 
 
+def emit_table(rows: Sequence[ScoreRow], columns: Sequence[str]) -> str:
+    """CSV of ``columns`` (from REPORT_COLUMNS), one line per row."""
+    # each column's formatter is chosen once, not once per field
+    cells = [
+        map(format_score if c in _SCORE_COLUMNS else str,
+            map(attrgetter(c), rows))
+        for c in columns
+    ]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
 def emit_csv(report: ComparisonReport, include_timing: bool = True) -> str:
     """Report CSV; timing columns are dropped when ``include_timing`` is False."""
-    columns = REPORT_COLUMNS if include_timing else REPORT_COLUMNS[:-2]
-    lines = [",".join(columns)]
-    for r in report.rows:
-        fields = [
-            str(r.concept_id),
-            str(r.extent_size),
-            str(r.intent_size),
-            format_score(r.alpha),
-            format_score(r.beta),
-            format_score(r.becr),
-            format_score(r.stability),
-            str(r.n_mingen),
-            str(r.n_base),
-            str(r.n_equiv),
-        ]
-        if include_timing:
-            fields += [str(r.t_becr_ns), str(r.t_stability_ns)]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return emit_table(report.rows,
+                      REPORT_COLUMNS if include_timing else REPORT_COLUMNS[:-2])
 
 
 def emit_scatter(report: ComparisonReport) -> str:

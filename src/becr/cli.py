@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .bench import (
@@ -18,7 +19,7 @@ from .bench import (
     dataset_stats,
     emit_csv,
     emit_scatter,
-    format_score,
+    emit_table,
     run_comparison,
     score_concepts,
 )
@@ -96,41 +97,12 @@ def _cmd_concepts(args) -> int:
 
 def _cmd_relevance(args) -> int:
     ctx = _load_context(args.input, args.format)
-    concepts = enumerate_concepts(ctx, budget=args.concept_budget)
-    lattice = build_covers(concepts)
-    scored = score_concepts(ctx, lattice, BaseRule(args.base_rule), args.index)
-    with_becr = args.index != "stability"
-    with_stability = args.index != "becr"
-
-    header = ["concept_id", "extent_size", "intent_size"]
-    if with_becr:
-        header += ["alpha", "beta", "becr"]
-    if with_stability:
-        header += ["stability"]
-    if with_becr:
-        header += ["n_mingen", "n_base", "n_equiv"]
-
-    records = []
-    for i, (breakdown, score) in enumerate(scored):
-        concept = concepts[i]
-        fields = [str(i), str(concept.extent.bit_count()),
-                  str(concept.intent.bit_count())]
-        if with_becr:
-            fields += [format_score(breakdown.alpha),
-                       format_score(breakdown.beta),
-                       format_score(breakdown.becr)]
-        if with_stability:
-            fields += [format_score(score.value)]
-        if with_becr:
-            fields += [str(breakdown.generator_count),
-                       str(breakdown.base_attributes.bit_count()),
-                       str(breakdown.equivalent_attributes.bit_count())]
-        key = breakdown.becr if with_becr else score.value
-        records.append((key, i, fields))
-
-    records.sort(key=lambda rec: (-rec[0], rec[1]))
-    lines = [",".join(header)] + [",".join(f) for _, _, f in records]
-    _write_output("\n".join(lines) + "\n", args.output)
+    lattice = build_covers(enumerate_concepts(ctx, budget=args.concept_budget))
+    rows = score_concepts(ctx, lattice, BaseRule(args.base_rule), args.index)
+    # highest score first; the sort is stable, so ties stay in id order
+    rows.sort(key=attrgetter("stability" if args.index == "stability"
+                             else "becr"), reverse=True)
+    _write_output(emit_table(rows, INDEXES[args.index]), args.output)
     return EXIT_OK
 
 

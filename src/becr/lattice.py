@@ -210,13 +210,17 @@ def attribute_concept(lattice: ConceptLattice, m: int) -> FormalConcept:
     return best
 
 
+def _join_names(names: list[str]) -> str:
+    return ";".join(n.replace("\\", "\\\\").replace(";", "\\;") for n in names)
+
+
 def concepts_csv(ctx: FormalContext, concepts: list[FormalConcept]) -> str:
-    """Concept list as CSV: id, ';'-joined extent names, ';'-joined intent names."""
+    """Concept list as CSV: id, ';'-joined extent names, ';'-joined intent
+    names, with a backslash written before each '\\' and ';' in a name."""
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "extent", "intent"])
     for i, c in enumerate(concepts):
-        writer.writerow(
-            [i, ";".join(ctx.obj_names(c.extent)), ";".join(ctx.attr_names(c.intent))]
-        )
+        writer.writerow([i, _join_names(ctx.obj_names(c.extent)),
+                         _join_names(ctx.attr_names(c.intent))])
     return buf.getvalue()

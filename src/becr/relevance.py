@@ -10,9 +10,10 @@ the concept (m' = A with a non-singleton closure).  The beta term rates the
 minimal-generator family H of B: several generators score min(|H| / |B|, 1),
 a single proper generator scores 1 / |B|, and H = {B} scores 0.
 
-Stability is the fraction of intent subsets whose extent equals A, counted
-by full enumeration over the 2^|B| subsets (no shortcut: supersets of a
-qualifying subset need not qualify, and the count is exact by contract).
+Stability is the fraction of intent subsets whose extent equals A.  The
+subsets that qualify are closed upwards in B (e ⊆ f ⊆ B and e' = A give
+A = B' ⊆ f' ⊆ e' = A), but the counter does not use this: it visits every
+one of the 2^|B| subsets, and the count is exact by contract.
 """
 from __future__ import annotations
 
@@ -172,38 +173,23 @@ def alpha_term(
         suffixes[i] = running
     target = concept.extent
     base = 0
-    slow = None
     prefix = full
     for i in range(size):
+        e = exts[i]
         if prefix & suffixes[i + 1] != target:
             base |= lows[i]
-        elif slow is None:
-            slow = [i]
-        else:
-            slow.append(i)
-        prefix &= exts[i]
-    if slow:
-        strict = rule is BaseRule.WORKED_EXAMPLE
-        for i in slow:
-            e = exts[i]
+        elif not (rule is BaseRule.WORKED_EXAMPLE and exts.count(e) > 1):
+            # m is base when the extent of B minus its removal set escapes
+            # m'; under the strict rule an equal-extent partner stays in
+            # that rest, which then lies inside m'
             outside = ~e
             rest = full
-            removed = False
-            blocked = False
-            for j in range(size):
-                if j == i:
-                    continue
-                ej = exts[j]
+            for ej in exts:
                 if ej & outside:
                     rest &= ej
-                elif strict and ej == e:
-                    blocked = True  # an equal-extent partner survives removal
-                    break
-                else:
-                    removed = True
-            # without removals rest equals the already-failed quick test
-            if removed and not blocked and rest & outside:
+            if rest & outside:
                 base |= lows[i]
+        prefix &= e
     if base:
         return _frac(base.bit_count(), size), base, 0
     if size > 1:

@@ -1,5 +1,6 @@
 """Comparison harness: correlation, aggregation, timing, CSV emission."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from becr import (
     run_comparison,
     stability,
 )
+from becr import bench
 from becr.bench import REPORT_COLUMNS, dataset_stats, score_concepts
 
 
@@ -122,12 +124,26 @@ def test_concept_budget_is_forwarded(toy_ctx):
         run_comparison(toy_ctx, timing_repeats=0, concept_budget=5)
 
 
-def test_score_concepts_computes_only_the_selected_index(toy_ctx, toy_lattice):
+def test_score_concepts_computes_only_the_selected_index(
+        toy_ctx, toy_lattice, monkeypatch):
     both = score_concepts(toy_ctx, toy_lattice)
-    assert score_concepts(toy_ctx, toy_lattice, index="becr") == \
-        [(breakdown, None) for breakdown, _ in both]
-    assert score_concepts(toy_ctx, toy_lattice, index="stability") == \
-        [(None, stab) for _, stab in both]
+    assert [r.concept_id for r in both] == list(range(13))
+    assert all(getattr(r, c) is not None for r in both for c in REPORT_COLUMNS)
+    assert all(r.t_becr_ns == r.t_stability_ns == 0 for r in both)
+    no_becr = dict.fromkeys(
+        ("alpha", "beta", "becr", "n_mingen", "n_base", "n_equiv"))
+
+    def not_called(*args):
+        raise AssertionError("computed an index that was not selected")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bench, "stability", not_called)
+        assert score_concepts(toy_ctx, toy_lattice, index="becr") == \
+            [replace(r, stability=None) for r in both]
+    with monkeypatch.context() as patch:
+        patch.setattr(bench, "becr", not_called)
+        assert score_concepts(toy_ctx, toy_lattice, index="stability") == \
+            [replace(r, **no_becr) for r in both]
     with pytest.raises(ValueError):
         score_concepts(toy_ctx, toy_lattice, index="BECR")
 

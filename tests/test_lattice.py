@@ -1,4 +1,6 @@
 """Concept enumeration, cover construction, and lattice exports."""
+import csv
+import io
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from becr import (
     concepts_csv,
     enumerate_concepts,
     lectic_key,
+    parse_csv,
 )
 from helpers import random_context
 
@@ -229,3 +232,34 @@ def test_concepts_csv(toy_ctx, toy_concepts):
     assert lines[13] == "12,1,a;b;c;d;e;g;h;i"
     assert len(lines) == 14
     assert "\r" not in text and text.endswith("\n")
+
+
+def _split_names(field):
+    """The names in a concepts_csv field: split on each ';' not escaped."""
+    names, name, chars = [], "", iter(field)
+    for ch in chars:
+        if ch == ";":
+            names.append(name)
+            name = ""
+        else:
+            name += next(chars) if ch == "\\" else ch
+    return names + [name] if field else []
+
+
+def test_concepts_csv_escapes_separators_in_names():
+    joined = parse_csv('o,m\n"a;b",1\nc,1\n')
+    apart = FormalContext.from_rows(["a", "b", "c"], ["m"], [1, 1, 1])
+    assert concepts_csv(joined, enumerate_concepts(joined)) == \
+        "id,extent,intent\n0,a\\;b;c,m\n"
+    assert concepts_csv(apart, enumerate_concepts(apart)) == \
+        "id,extent,intent\n0,a;b;c,m\n"
+
+    objects = ["a;b", "c\\", "\\;", ";", "d\\\\;e", "f"]
+    ctx = FormalContext.from_rows(
+        objects, ["x;y", "z\\", "w"], [0b011, 0b110, 0b101, 0b111, 0b010, 0])
+    concepts = enumerate_concepts(ctx)
+    rows = list(csv.reader(io.StringIO(concepts_csv(ctx, concepts))))
+    assert len(rows) == len(concepts) + 1 > 4
+    for (_, extent, intent), c in zip(rows[1:], concepts):
+        assert _split_names(extent) == ctx.obj_names(c.extent)
+        assert _split_names(intent) == ctx.attr_names(c.intent)
