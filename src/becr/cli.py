@@ -4,8 +4,9 @@ Four subcommands: ``concepts`` (enumerate and export the lattice),
 ``relevance`` (score concepts and rank them), ``bench`` (side-by-side index
 comparison with timing), and ``generate`` (random coin-toss contexts).
 
-Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input,
-3 tripped size guard (concept budget or intent guard).
+Exit codes: 0 success, 1 usage error (including an output path that
+cannot be written), 2 unreadable or malformed input, 3 tripped size guard
+(concept budget or intent guard).
 """
 from __future__ import annotations
 
@@ -81,8 +82,11 @@ def _load_context(path_str: str, fmt: str) -> FormalContext:
 def _write_output(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text)
+    except OSError as err:
+        raise _CliFailure(EXIT_USAGE, f"cannot write {output}: {err}") from None
 
 
 def _cmd_concepts(args) -> int:
@@ -118,7 +122,7 @@ def _cmd_bench(args) -> int:
     _write_output(emit_csv(report, include_timing=not args.no_timing),
                   args.output)
     if args.scatter:
-        Path(args.scatter).write_text(emit_scatter(report))
+        _write_output(emit_scatter(report), args.scatter)
     xi = "undefined" if report.pearson_xi is None else f"{report.pearson_xi:.4f}"
     print(
         f"xi={xi} tau_becr={report.mean_time_becr_ns:.0f} "
@@ -134,7 +138,7 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _add_input_options(sub, with_budget=True):
+def _add_input_options(sub):
     sub.add_argument("input", help="context file")
     sub.add_argument(
         "--format",
@@ -144,14 +148,13 @@ def _add_input_options(sub, with_budget=True):
     )
     sub.add_argument("--output", metavar="PATH",
                      help="write to PATH instead of stdout")
-    if with_budget:
-        sub.add_argument(
-            "--concept-budget",
-            type=int,
-            default=DEFAULT_CONCEPT_BUDGET,
-            metavar="N",
-            help=f"abort above N concepts (default {DEFAULT_CONCEPT_BUDGET})",
-        )
+    sub.add_argument(
+        "--concept-budget",
+        type=int,
+        default=DEFAULT_CONCEPT_BUDGET,
+        metavar="N",
+        help=f"abort above N concepts (default {DEFAULT_CONCEPT_BUDGET})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,9 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
                      default=BaseRule.WORKED_EXAMPLE.value,
                      help="removal-set rule for base attributes")
     sub.add_argument("--timing-repeats", type=int, default=5, metavar="N",
-                     help="timed runs per concept and index (default 5)")
+                     help="timed runs per concept and index, N >= 1 "
+                          "(default 5)")
     sub.add_argument("--no-timing", action="store_true",
-                     help="skip the timing pass and omit timing columns")
+                     help="skip timing and omit the timing columns")
     sub.add_argument("--scatter", metavar="PATH",
                      help="also write a becr,stability scatter CSV")
     sub.set_defaults(handler=_cmd_bench)
@@ -208,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "timing_repeats", 1) < 0:
-        parser.error("--timing-repeats must be >= 0")
+    if getattr(args, "timing_repeats", 1) < 1:
+        parser.error("--timing-repeats must be >= 1; "
+                     "pass --no-timing to skip timing")
     if getattr(args, "concept_budget", 1) < 1:
         parser.error("--concept-budget must be >= 1")
     if args.command == "generate":

@@ -32,9 +32,14 @@ MAX_ORACLE_INTENT = 20
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# scores repeat heavily across the concepts of one context; memoizing the
-# (numerator, denominator) -> Fraction construction keeps the scoring loop
-# off the normalization path
+# scores repeat heavily across concepts, so the (numerator, denominator) ->
+# Fraction construction is memoized.  Without it, mean BECR / stability time
+# on the 793x10 context of acceptance criterion 7 read 0.99-1.07 instead of
+# 0.80-0.90 (3 processes x 8 run_comparison runs each, Python 3.11 on a
+# 2-vCPU VM), so the criterion fails in most runs.  Unbounded but small: for
+# an intent of size b, alpha and beta are k/b with k <= b, so the keys are
+# (n, d) with d <= 2b^2 and at most about |M|^3/3 of them for the widest
+# context scored (117 after scoring the 793x10, 1000x16 and 14x32 contexts).
 _frac = lru_cache(maxsize=None)(Fraction)
 
 

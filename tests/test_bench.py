@@ -1,5 +1,6 @@
 """Comparison harness: correlation, aggregation, timing, CSV emission."""
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -146,6 +147,30 @@ def test_score_concepts_computes_only_the_selected_index(
             [replace(r, **no_becr) for r in both]
     with pytest.raises(ValueError):
         score_concepts(toy_ctx, toy_lattice, index="BECR")
+
+
+def test_each_index_is_computed_once_per_concept_and_timed_run(
+        toy_ctx, toy_lattice, monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(bench, "becr", counting("becr", becr))
+    monkeypatch.setattr(bench, "stability", counting("stability", stability))
+    score_concepts(toy_ctx, toy_lattice)
+    assert calls == {"becr": 13, "stability": 13}
+    calls.clear()
+    # the scoring call is the warm-up, then two timed runs
+    run_comparison(toy_ctx, timing_repeats=2)
+    assert calls == {"becr": 3 * 13, "stability": 3 * 13}
+    calls.clear()
+    rows = score_concepts(toy_ctx, toy_lattice, index="becr", timing_repeats=1)
+    assert calls == {"becr": 2 * 13}
+    assert all(r.t_becr_ns > 0 and r.t_stability_ns == 0 for r in rows)
 
 
 def test_oversized_intent_is_annotated_with_the_concept():

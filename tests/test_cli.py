@@ -125,6 +125,22 @@ def test_bench_scatter_file(tmp_path, capsys):
     assert len(scatter.read_text().splitlines()) == 13
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "concepts.csv"
+    assert main(["concepts", TOY, "--output", str(missing)]) == EXIT_USAGE
+    # after the stats line
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"becr: cannot write {missing}: ")
+    assert main(["bench", TOY, "--no-timing",
+                 "--scatter", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        f"becr: cannot write {tmp_path}: ")
+    assert main(["generate", "--objects", "2", "--attributes", "2",
+                 "--density", "1", "--output", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        f"becr: cannot write {tmp_path}: ")
+
+
 def test_bench_timing_columns_present(capsys):
     assert main(["bench", TOY, "--timing-repeats", "1"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -179,6 +195,7 @@ def test_generate_is_deterministic(tmp_path):
     ["concepts", "x.cxt", "--concept-budget", "0"],
     ["generate", "--objects", "0", "--attributes", "3", "--density", "0.5"],
     ["generate", "--objects", "3", "--attributes", "3", "--density", "1.5"],
+    ["bench", "x.cxt", "--timing-repeats", "0"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as info:
