@@ -3,11 +3,13 @@
 The score table has one ScoreRow per concept; ``emit_table`` writes it for
 ``becr bench`` and ``becr relevance``.  Per-concept times are wall-clock ns,
 measured sequentially on one thread as the minimum over ``timing_repeats``
-runs; the call that computes the score is their warm-up.  BECR timing
-includes the minimal-generator computation it depends on.  The summary
-correlation is Pearson's coefficient over the (BECR, stability) value pairs
-and is None when it is undefined (fewer than two concepts, or an index
-constant across all concepts).
+runs.  BECR timing includes the minimal-generator computation it depends
+on, and the call that computes the score is its warm-up.  The stability
+score comes from ``stability``, but its time is that of ``stability_dfs``,
+the paper's full-subset baseline that visits all 2^|B| intent subsets.
+The summary correlation is Pearson's coefficient over the (BECR,
+stability) value pairs and is None when it is undefined (fewer than two
+concepts, or an index constant across all concepts).
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter
 from typing import Sequence
 
@@ -26,7 +29,7 @@ from .lattice import (
     build_covers,
     enumerate_concepts,
 )
-from .relevance import BaseRule, becr, stability
+from .relevance import BaseRule, becr, stability, stability_dfs
 
 REPORT_COLUMNS = (
     "concept_id",
@@ -126,16 +129,14 @@ def dataset_stats(
             density)
 
 
-def _call_and_time(fn, repeats: int):
-    """fn()'s result, and the minimum wall time in ns of ``repeats`` more
-    calls (0 when there are none); the first call is their warm-up."""
-    result = fn()
+def _best_ns(fn, repeats: int) -> int:
+    """The minimum wall time in ns of ``repeats`` calls of fn (0 for none)."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter_ns()
         fn()
         times.append(time.perf_counter_ns() - start)
-    return result, min(times, default=0)
+    return min(times, default=0)
 
 
 def score_concepts(
@@ -150,7 +151,8 @@ def score_concepts(
     ``index`` is one of INDEXES; the fields of an index not selected are
     None and never computed, so "becr" skips the stability intent guard.
     Each selected index is computed once per concept, then timed over
-    ``timing_repeats`` more calls; with 0 (the default) its time is 0.
+    ``timing_repeats`` calls (BECR itself, stability by ``stability_dfs``);
+    with 0 (the default) its time is 0.
     A tripped guard re-raises IntentTooLarge naming the concept id.
     """
     if index not in INDEXES:
@@ -163,16 +165,17 @@ def score_concepts(
         scores = {}
         try:
             if index != "stability":
-                b, scores["t_becr_ns"] = _call_and_time(
-                    lambda: becr(ctx, lattice, concept, rule), timing_repeats)
+                score = partial(becr, ctx, lattice, concept, rule)
+                b = score()
+                scores["t_becr_ns"] = _best_ns(score, timing_repeats)
                 scores.update(alpha=b.alpha, beta=b.beta, becr=b.becr,
                               n_mingen=b.generator_count,
                               n_base=b.base_attributes.bit_count(),
                               n_equiv=b.equivalent_attributes.bit_count())
             if index != "becr":
-                s, scores["t_stability_ns"] = _call_and_time(
-                    lambda: stability(ctx, concept), timing_repeats)
-                scores["stability"] = s.value
+                scores["stability"] = stability(ctx, concept).value
+                scores["t_stability_ns"] = _best_ns(
+                    partial(stability_dfs, ctx, concept), timing_repeats)
         except IntentTooLarge as err:
             raise IntentTooLarge(f"concept {i}: {err}") from None
         rows.append(ScoreRow(i, concept.extent.bit_count(),

@@ -79,6 +79,19 @@ def _load_context(path_str: str, fmt: str) -> FormalContext:
         raise _CliFailure(EXIT_PARSE, f"{path}: {err}") from None
 
 
+def _check_writable(output: str | None) -> None:
+    """Fail before any work when ``output`` cannot be opened for writing.
+
+    Append mode creates a missing file but leaves an existing one as it is.
+    """
+    if output is None:
+        return
+    try:
+        open(output, "a").close()
+    except OSError as err:
+        raise _CliFailure(EXIT_USAGE, f"cannot write {output}: {err}") from None
+
+
 def _write_output(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -138,6 +151,32 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(hint: str = ""):
+    """An argparse type: an int >= 1; ``hint`` ends its range error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1{hint}")
+        return value
+    return parse
+
+
+def _probability(text: str) -> float:
+    """An argparse type: a float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError("must lie in [0, 1]")
+    return value
+
+
 def _add_input_options(sub):
     sub.add_argument("input", help="context file")
     sub.add_argument(
@@ -150,7 +189,7 @@ def _add_input_options(sub):
                      help="write to PATH instead of stdout")
     sub.add_argument(
         "--concept-budget",
-        type=int,
+        type=_positive_int(),
         default=DEFAULT_CONCEPT_BUDGET,
         metavar="N",
         help=f"abort above N concepts (default {DEFAULT_CONCEPT_BUDGET})",
@@ -165,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser(
         "concepts", help="enumerate concepts, print stats, export the list")
     _add_input_options(sub)
-    sub.set_defaults(handler=_cmd_concepts)
+    sub.set_defaults(handler=_cmd_concepts, parser=sub)
 
     sub = commands.add_parser(
         "relevance", help="score and rank concepts")
@@ -178,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=tuple(r.value for r in BaseRule),
                      default=BaseRule.WORKED_EXAMPLE.value,
                      help="removal-set rule for base attributes")
-    sub.set_defaults(handler=_cmd_relevance)
+    sub.set_defaults(handler=_cmd_relevance, parser=sub)
 
     sub = commands.add_parser(
         "bench", help="compare becr and stability with timing")
@@ -187,42 +226,40 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=tuple(r.value for r in BaseRule),
                      default=BaseRule.WORKED_EXAMPLE.value,
                      help="removal-set rule for base attributes")
-    sub.add_argument("--timing-repeats", type=int, default=5, metavar="N",
+    sub.add_argument("--timing-repeats", default=5, metavar="N",
+                     type=_positive_int("; pass --no-timing to skip timing"),
                      help="timed runs per concept and index, N >= 1 "
                           "(default 5)")
     sub.add_argument("--no-timing", action="store_true",
                      help="skip timing and omit the timing columns")
     sub.add_argument("--scatter", metavar="PATH",
                      help="also write a becr,stability scatter CSV")
-    sub.set_defaults(handler=_cmd_bench)
+    sub.set_defaults(handler=_cmd_bench, parser=sub)
 
     sub = commands.add_parser(
         "generate", help="write a random coin-toss context as .cxt")
-    sub.add_argument("--objects", type=int, required=True, metavar="N")
-    sub.add_argument("--attributes", type=int, required=True, metavar="M")
-    sub.add_argument("--density", type=float, required=True, metavar="P",
+    sub.add_argument("--objects", type=_positive_int(), required=True,
+                     metavar="N")
+    sub.add_argument("--attributes", type=_positive_int(), required=True,
+                     metavar="M")
+    sub.add_argument("--density", type=_probability, required=True,
+                     metavar="P",
                      help="cell probability in [0, 1]")
     sub.add_argument("--seed", type=int, default=0, metavar="S")
     sub.add_argument("--output", metavar="PATH",
                      help="write to PATH instead of stdout")
-    sub.set_defaults(handler=_cmd_generate)
+    sub.set_defaults(handler=_cmd_generate, parser=sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "timing_repeats", 1) < 1:
-        parser.error("--timing-repeats must be >= 1; "
-                     "pass --no-timing to skip timing")
-    if getattr(args, "concept_budget", 1) < 1:
-        parser.error("--concept-budget must be >= 1")
-    if args.command == "generate":
-        if args.objects < 1 or args.attributes < 1:
-            parser.error("--objects and --attributes must be >= 1")
-        if not 0.0 <= args.density <= 1.0:
-            parser.error("--density must lie in [0, 1]")
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # reported by the subcommand's parser, with its own usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
+        for output in (args.output, getattr(args, "scatter", None)):
+            _check_writable(output)
         return args.handler(args)
     except _CliFailure as err:
         print(f"becr: {err}", file=sys.stderr)

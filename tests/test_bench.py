@@ -23,6 +23,7 @@ from becr import (
     pearson,
     run_comparison,
     stability,
+    stability_dfs,
 )
 from becr import bench
 from becr.bench import REPORT_COLUMNS, dataset_stats, score_concepts
@@ -161,12 +162,16 @@ def test_each_index_is_computed_once_per_concept_and_timed_run(
 
     monkeypatch.setattr(bench, "becr", counting("becr", becr))
     monkeypatch.setattr(bench, "stability", counting("stability", stability))
+    monkeypatch.setattr(bench, "stability_dfs",
+                        counting("stability_dfs", stability_dfs))
     score_concepts(toy_ctx, toy_lattice)
     assert calls == {"becr": 13, "stability": 13}
+    assert calls["stability_dfs"] == 0
     calls.clear()
-    # the scoring call is the warm-up, then two timed runs
+    # becr: the scoring call is the warm-up, then two timed runs; stability
+    # scores once, and the timed runs are of the full-subset baseline
     run_comparison(toy_ctx, timing_repeats=2)
-    assert calls == {"becr": 3 * 13, "stability": 3 * 13}
+    assert calls == {"becr": 3 * 13, "stability": 13, "stability_dfs": 2 * 13}
     calls.clear()
     rows = score_concepts(toy_ctx, toy_lattice, index="becr", timing_repeats=1)
     assert calls == {"becr": 2 * 13}

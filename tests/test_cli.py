@@ -127,18 +127,26 @@ def test_bench_scatter_file(tmp_path, capsys):
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing" / "concepts.csv"
-    assert main(["concepts", TOY, "--output", str(missing)]) == EXIT_USAGE
-    # after the stats line
-    assert capsys.readouterr().err.splitlines()[-1].startswith(
-        f"becr: cannot write {missing}: ")
-    assert main(["bench", TOY, "--no-timing",
-                 "--scatter", str(tmp_path)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith(
-        f"becr: cannot write {tmp_path}: ")
-    assert main(["generate", "--objects", "2", "--attributes", "2",
-                 "--density", "1", "--output", str(tmp_path)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith(
-        f"becr: cannot write {tmp_path}: ")
+    # detected before the input is read: no stats line, no table on stdout
+    for argv, path in (
+        (["concepts", TOY, "--output", str(missing)], missing),
+        (["bench", TOY, "--no-timing", "--scatter", str(tmp_path)], tmp_path),
+        (["generate", "--objects", "2", "--attributes", "2",
+          "--density", "1", "--output", str(tmp_path)], tmp_path),
+    ):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"becr: cannot write {path}: ")
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_output_check_leaves_an_existing_file_alone(tmp_path, capsys):
+    target = tmp_path / "concepts.csv"
+    target.write_text("kept\n")
+    assert main(["concepts", str(tmp_path / "missing.cxt"),
+                 "--output", str(target)]) == EXIT_PARSE
+    assert target.read_text() == "kept\n"
 
 
 def test_bench_timing_columns_present(capsys):
@@ -201,7 +209,17 @@ def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == EXIT_USAGE
-    capsys.readouterr()
+    # the subcommand's own parser reports the error, with its usage line
+    usage = f"usage: becr {argv[0]} " if argv else "usage: becr [-h] "
+    assert capsys.readouterr().err.startswith(usage)
+
+
+def test_range_error_keeps_the_no_timing_hint(capsys):
+    with pytest.raises(SystemExit):
+        main(["bench", "x.cxt", "--timing-repeats", "0"])
+    assert capsys.readouterr().err.endswith(
+        "becr bench: error: argument --timing-repeats: must be >= 1; "
+        "pass --no-timing to skip timing\n")
 
 
 def test_module_entry_point():

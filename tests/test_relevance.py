@@ -7,6 +7,7 @@ import pytest
 from becr import (
     AttributeNotInIntent,
     BaseRule,
+    CoinTossSpec,
     FormalConcept,
     FormalContext,
     IntentTooLarge,
@@ -15,6 +16,7 @@ from becr import (
     becr,
     beta_term,
     build_covers,
+    coin_toss_context,
     enumerate_concepts,
     equivalent_attributes,
     is_base_attribute,
@@ -22,6 +24,7 @@ from becr import (
     iter_bits,
     minimal_generators,
     stability,
+    stability_dfs,
     stability_oracle,
 )
 from helpers import random_context
@@ -136,18 +139,56 @@ def test_stability_matches_oracle_on_fixtures(toy_ctx, toy_concepts,
                                               davis_ctx, davis_concepts):
     for ctx, concepts in ((toy_ctx, toy_concepts), (davis_ctx, davis_concepts)):
         for concept in concepts:
-            assert stability(ctx, concept) == stability_oracle(ctx, concept)
+            assert stability(ctx, concept) == stability_dfs(ctx, concept) == \
+                stability_oracle(ctx, concept)
+
+
+def test_stability_matches_the_full_subset_count_on_793x10():
+    ctx = coin_toss_context(CoinTossSpec(793, 10, 0.41, 42))
+    for concept in enumerate_concepts(ctx):
+        assert stability(ctx, concept) == stability_dfs(ctx, concept)
+
+
+def _edge_cases(ctx):
+    """ctx with a copy of its first column, with a full column (the top
+    concept then has extent G and a non-empty intent), and with an empty
+    row."""
+    names = list(ctx.attributes) + ["extra"]
+    m = ctx.n_attributes
+    yield FormalContext.from_rows(
+        ctx.objects, names, [row | (row & 1) << m for row in ctx.rows])
+    yield FormalContext.from_rows(
+        ctx.objects, names, [row | 1 << m for row in ctx.rows])
+    yield FormalContext.from_rows(
+        list(ctx.objects) + ["empty"], ctx.attributes, list(ctx.rows) + [0])
 
 
 def test_stability_matches_oracle_fuzz():
     rng = random.Random(505)
     for _ in range(60):
-        ctx = random_context(rng, max_objects=10, max_attributes=8)
-        for concept in enumerate_concepts(ctx):
-            fast = stability(ctx, concept)
-            assert fast == stability_oracle(ctx, concept)
-            assert fast.denominator == 1 << concept.intent.bit_count()
-            assert 0 < fast.value <= 1
+        plain = random_context(rng, max_objects=10, max_attributes=8)
+        for ctx in (plain, *_edge_cases(plain)):
+            total = 0
+            for concept in enumerate_concepts(ctx):
+                fast = stability(ctx, concept)
+                assert fast == stability_dfs(ctx, concept) == \
+                    stability_oracle(ctx, concept)
+                assert fast.denominator == 1 << concept.intent.bit_count()
+                assert 0 < fast.value <= 1
+                total += fast.numerator
+            # every attribute subset e is counted once, at the concept
+            # (e', e'')
+            assert total == 1 << ctx.n_attributes
+
+
+def test_stability_is_not_exponential_in_the_intent():
+    # a 28-attribute bottom concept, whose 2^28 subsets the full-subset
+    # count would visit one by one
+    ctx = coin_toss_context(CoinTossSpec(14, 28, 0.6, 42))
+    concepts = enumerate_concepts(ctx)
+    assert len(concepts) == 755
+    assert concepts[-1].intent == ctx.all_attributes
+    assert sum(stability(ctx, c).numerator for c in concepts) == 1 << 28
 
 
 def test_stability_value_property():
@@ -162,6 +203,13 @@ def test_stability_intent_guards():
         stability(ctx, concept)
     with pytest.raises(IntentTooLarge):
         stability_oracle(ctx, concept)
+
+
+def test_full_subset_count_keeps_its_guard():
+    ctx = FormalContext.from_rows(
+        ["g"], [f"m{j}" for j in range(31)], [(1 << 31) - 1])
+    with pytest.raises(IntentTooLarge, match=r"2\^\|B\| subsets"):
+        stability_dfs(ctx, enumerate_concepts(ctx)[0])
 
 
 # -- term edge cases ----------------------------------------------------------
