@@ -65,10 +65,6 @@ class LengthMismatch(ValueError):
     """Paired inputs differ in length."""
 
 
-class EmptyInput(ValueError):
-    """An aggregate over no values."""
-
-
 @dataclass
 class ScoreRow:
     """One concept's scores and times, with None and 0 in the fields of an
@@ -110,13 +106,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     except statistics.StatisticsError as err:
         raise ZeroVariance(str(err)) from None
     return max(-1.0, min(1.0, r))
-
-
-def mean_time(times_ns: Sequence[int]) -> float:
-    """Arithmetic mean of per-concept times, in nanoseconds."""
-    if not times_ns:
-        raise EmptyInput("no times to average")
-    return statistics.fmean(times_ns)
 
 
 def dataset_stats(
@@ -197,18 +186,15 @@ def run_comparison(
     rows = score_concepts(ctx, build_covers(concepts), rule,
                           timing_repeats=timing_repeats)
 
-    xi = None
-    if len(rows) >= 2:
-        try:
-            xi = pearson(
-                [float(r.becr) for r in rows],
-                [float(r.stability) for r in rows],
-            )
-        except ZeroVariance:
-            xi = None
-    tau_becr = mean_time([r.t_becr_ns for r in rows]) if rows else 0.0
-    tau_stab = mean_time([r.t_stability_ns for r in rows]) if rows else 0.0
-    return ComparisonReport(rows, xi, tau_becr, tau_stab,
+    try:
+        xi = pearson([float(r.becr) for r in rows],
+                     [float(r.stability) for r in rows])
+    except ZeroVariance:  # fewer than two concepts, or a constant index
+        xi = None
+    # every context has at least its top concept, so the means are defined
+    return ComparisonReport(rows, xi,
+                            statistics.fmean(r.t_becr_ns for r in rows),
+                            statistics.fmean(r.t_stability_ns for r in rows),
                             dataset_stats(ctx, len(concepts)))
 
 

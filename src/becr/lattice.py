@@ -7,12 +7,15 @@ intents (attribute 0 has the highest priority), which makes concept ids --
 0-based positions in that order -- deterministic for a given context.  Id 0
 is always the supremum (G, G') and the last id the infimum (M', M).
 
-Covers come from Lindig's neighbour step (Lindig 2000, "Fast concept
-analysis"): the lower neighbours of (A, B) are the inclusion-minimal
-concepts among the candidates (A ∩ m', (A ∩ m')') for m ∉ B, so a lattice of
-C concepts costs at most C * |M| candidate closures and no comparison of
-concept pairs.  Attribute extents m' are read off the concepts themselves,
-which is why ``build_covers`` needs the complete concept set of one context.
+The lattice stores upper covers only: minimal generators, the one consumer
+of the order, read the faces to a concept's upper covers.  They come from
+Lindig's neighbour step (Lindig 2000, "Fast concept analysis"): the lower
+neighbours of (A, B) are the inclusion-minimal concepts among the candidates
+(A ∩ m', (A ∩ m')') for m ∉ B, and (A, B) is recorded as an upper cover of
+each, so a lattice of C concepts costs at most C * |M| candidate closures and
+no comparison of concept pairs.  Attribute extents m' are read off the
+concepts themselves, which is why ``build_covers`` needs the complete
+concept set of one context.
 """
 from __future__ import annotations
 
@@ -113,18 +116,17 @@ def brute_force_concepts(ctx: FormalContext) -> list[FormalConcept]:
 
 @dataclass
 class ConceptLattice:
-    """Concepts plus their transitively reduced order (cover relation)."""
+    """Concepts plus their upper covers: ``upper_covers[i]`` holds, in
+    ascending order, the ids of the concepts directly above concept i."""
 
     concepts: list[FormalConcept]
     upper_covers: list[tuple[int, ...]]
-    lower_covers: list[tuple[int, ...]]
     # keyed by intent: it determines the concept, and intent masks are far
     # smaller than extents on object-heavy contexts
-    _index: dict[int, int] = field(repr=False, default_factory=dict)
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._index:
-            self._index = {c.intent: i for i, c in enumerate(self.concepts)}
+        self._index = {c.intent: i for i, c in enumerate(self.concepts)}
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -137,13 +139,14 @@ class ConceptLattice:
 
 
 def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
-    """Cover relation by Lindig's neighbour step (C * |M| candidate closures).
+    """Upper covers by Lindig's neighbour step (C * |M| candidate closures).
 
     ``concepts`` must be the complete concept set of one context, as
     ``enumerate_concepts`` returns it; the ids of the result are positions in
     that list.  A lower neighbour that the list lacks raises ValueError.
     """
-    index = {c.intent: i for i, c in enumerate(concepts)}
+    lattice = ConceptLattice(concepts, [])
+    index = lattice._index
     objects = attributes = 0
     for c in concepts:
         objects |= c.extent
@@ -158,14 +161,12 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
             if c.intent & bit:
                 m_extent |= c.extent
         not_ext[bit] = objects ^ m_extent
-    lower: list[tuple[int, ...]] = []
     upper: list[list[int]] = [[] for _ in concepts]
     for i, c in enumerate(concepts):
         a, b = c.extent, c.intent
         # Lindig's set: attributes whose candidate has not been shown to lie
         # strictly below another candidate (or to repeat a later one)
         minimal = outside = attributes & ~b
-        found = []
         rest = outside
         while rest:
             bit = rest & -rest
@@ -192,22 +193,9 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
                 raise ValueError(
                     f"concept {i} has a lower neighbour missing from the list"
                 )
-            found.append(j)
             upper[j].append(i)
-        lower.append(tuple(sorted(found)))
-    return ConceptLattice(concepts, [tuple(u) for u in upper], lower, index)
-
-
-def attribute_concept(lattice: ConceptLattice, m: int) -> FormalConcept:
-    """mu(m): the greatest concept whose intent contains attribute ``m``."""
-    best = None
-    for c in lattice.concepts:
-        if c.intent >> m & 1:
-            if best is None or c.extent.bit_count() > best.extent.bit_count():
-                best = c
-    if best is None:
-        raise ValueError(f"no concept carries attribute index {m}")
-    return best
+    lattice.upper_covers = [tuple(u) for u in upper]
+    return lattice
 
 
 def _join_names(names: list[str]) -> str:

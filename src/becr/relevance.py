@@ -40,11 +40,15 @@ _ONE = Fraction(1)
 # Fraction construction is memoized.  Without it, mean BECR / stability time
 # on the 793x10 context of acceptance criterion 7 read 0.99-1.07 instead of
 # 0.80-0.90 (3 processes x 8 run_comparison runs each, Python 3.11 on a
-# 2-vCPU VM), so the criterion fails in most runs.  Unbounded but small: for
-# an intent of size b, alpha and beta are k/b with k <= b, so the keys are
-# (n, d) with d <= 2b^2 and at most about |M|^3/3 of them for the widest
-# context scored (117 after scoring the 793x10, 1000x16 and 14x32 contexts).
-_frac = lru_cache(maxsize=None)(Fraction)
+# 2-vCPU VM), so the criterion fails in most runs.  For an intent of size b,
+# alpha and beta are k/b with k <= b, and BECR is keyed by their unreduced
+# mean.  Intents of up to 32 attributes can make 2,384 keys in all (117 are
+# made by scoring the 793x10, 1000x16 and 14x32 contexts), and up to 40 make
+# 3,932, so the bound evicts nothing until an intent passes 40 attributes;
+# past that it stops a process that scores many wide contexts from growing
+# the cache without limit.
+_FRAC_CACHE_SIZE = 4096
+_frac = lru_cache(maxsize=_FRAC_CACHE_SIZE)(Fraction)
 
 
 class BaseRule(Enum):
@@ -113,20 +117,6 @@ def is_base_attribute(
     _require_member(concept, m)
     rest = concept.intent & ~_removal_set(ctx, concept, m, rule)
     return bool(ctx.derive_extent(rest) & ~ctx.cols[m])
-
-
-def is_extremal_attribute(
-    ctx: FormalContext, concept: FormalConcept, m: int
-) -> bool:
-    """True when m falls out of the closure of B minus {y in B | y' = m'}."""
-    _require_member(concept, m)
-    m_extent = ctx.cols[m]
-    same = 0
-    for y in iter_bits(concept.intent):
-        if ctx.cols[y] == m_extent:
-            same |= 1 << y
-    rest = concept.intent & ~same
-    return bool(ctx.derive_extent(rest) & ~m_extent)
 
 
 def equivalent_attributes(ctx: FormalContext, concept: FormalConcept) -> AttrSet:
@@ -201,13 +191,9 @@ def alpha_term(
         prefix &= e
     if base:
         return _frac(base.bit_count(), size), base, 0
-    if size > 1:
-        equiv = 0
-        for i in range(size):
-            if exts[i] == target:
-                equiv |= lows[i]
-        if equiv:
-            return _frac(equiv.bit_count(), size), 0, equiv
+    equiv = equivalent_attributes(ctx, concept)
+    if equiv:
+        return _frac(equiv.bit_count(), size), 0, equiv
     return _ZERO, 0, 0
 
 

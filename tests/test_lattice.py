@@ -10,7 +10,6 @@ from becr import (
     ContextTooLarge,
     FormalConcept,
     FormalContext,
-    attribute_concept,
     brute_force_concepts,
     build_covers,
     concepts_csv,
@@ -125,27 +124,10 @@ def test_toy_covers(toy_ctx, toy_lattice):
     # spot checks: cdg sits under d and cg, the top covers nothing
     assert toy_lattice.upper_covers[3] == (1, 2)
     assert toy_lattice.upper_covers[0] == ()
-    assert toy_lattice.lower_covers[12] == ()
-
-
-def transpose(covers):
-    """Inverse cover lists; ascending because i is visited in order."""
-    inverse = [[] for _ in covers]
-    for i, ups in enumerate(covers):
-        for j in ups:
-            inverse[j].append(i)
-    return [tuple(v) for v in inverse]
-
-
-def test_lower_covers_are_the_transpose(toy_lattice, davis_lattice):
-    for lattice in (toy_lattice, davis_lattice):
-        assert list(lattice.lower_covers) == transpose(lattice.upper_covers)
 
 
 def assert_covers_match_oracle(lattice):
-    oracle = upper_covers_oracle(lattice.concepts)
-    assert list(lattice.upper_covers) == oracle
-    assert list(lattice.lower_covers) == transpose(oracle)
+    assert list(lattice.upper_covers) == upper_covers_oracle(lattice.concepts)
 
 
 def test_covers_fuzz():
@@ -195,7 +177,6 @@ def test_single_concept_lattice():
     lattice = build_covers(enumerate_concepts(ctx))
     assert len(lattice) == 1
     assert lattice.upper_covers == [()]
-    assert lattice.lower_covers == [()]
 
 
 def test_index_of(toy_lattice):
@@ -204,21 +185,6 @@ def test_index_of(toy_lattice):
     foreign = FormalConcept(extent=0, intent=0b1)  # {a} is not closed
     with pytest.raises(ValueError):
         toy_lattice.index_of(foreign)
-
-
-# -- attribute concepts -------------------------------------------------------
-
-def test_attribute_concept(toy_ctx, toy_lattice, davis_ctx, davis_lattice):
-    for ctx, lattice in ((toy_ctx, toy_lattice), (davis_ctx, davis_lattice)):
-        for m in range(ctx.n_attributes):
-            mu = attribute_concept(lattice, m)
-            assert mu.extent == ctx.cols[m]
-            assert mu.intent == ctx.close_attrs(1 << m)
-
-
-def test_attribute_concept_unknown_index(toy_lattice):
-    with pytest.raises(ValueError):
-        attribute_concept(toy_lattice, 99)
 
 
 # -- export -------------------------------------------------------------------

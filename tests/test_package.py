@@ -1,0 +1,39 @@
+"""The package surface: its exports and the README's Python API example."""
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import becr
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_all_lists_exactly_the_public_imports():
+    tree = ast.parse(Path(becr.__file__).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    public = {name for name in imported if not name.startswith("_")}
+    assert len(becr.__all__) == len(set(becr.__all__))
+    namespace = {}
+    exec("from becr import *", namespace)  # fails on a name that is missing
+    assert set(becr.__all__) == public == namespace.keys() - {"__builtins__"}
+
+
+def test_readme_python_api_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Python API", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", code],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "1/2 1/3 2/3\n3/8\n"

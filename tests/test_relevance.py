@@ -20,7 +20,6 @@ from becr import (
     enumerate_concepts,
     equivalent_attributes,
     is_base_attribute,
-    is_extremal_attribute,
     iter_bits,
     minimal_generators,
     stability,
@@ -244,36 +243,7 @@ def test_membership_required():
     with pytest.raises(AttributeNotInIntent):
         is_base_attribute(ctx, concept, outside)
     with pytest.raises(AttributeNotInIntent):
-        is_extremal_attribute(ctx, concept, outside)
-    with pytest.raises(AttributeNotInIntent):
         is_base_attribute(ctx, concept, -1)
-
-
-# -- extremal attributes ------------------------------------------------------
-
-def extremal_reference(ctx, concept, m):
-    kept = 0
-    for y in iter_bits(concept.intent):
-        if ctx.cols[y] != ctx.cols[m]:
-            kept |= 1 << y
-    return bool(ctx.derive_extent(kept) & ~ctx.cols[m])
-
-
-def test_extremal_pin(toy_ctx, toy_lattice):
-    cdg = toy_lattice.concepts[3]
-    extremal = [toy_ctx.attributes[m] for m in iter_bits(cdg.intent)
-                if is_extremal_attribute(toy_ctx, cdg, m)]
-    assert extremal == ["c", "d", "g"]
-
-
-def test_extremal_fuzz():
-    rng = random.Random(606)
-    for _ in range(60):
-        ctx = random_context(rng)
-        for concept in enumerate_concepts(ctx):
-            for m in iter_bits(concept.intent):
-                assert is_extremal_attribute(ctx, concept, m) == \
-                    extremal_reference(ctx, concept, m)
 
 
 def test_scores_stay_in_range_fuzz():
