@@ -35,7 +35,6 @@ from .context import (
 from .generators import (
     IntentTooLarge,
     brute_force_minimal_generators,
-    faces,
     minimal_generators,
 )
 from .lattice import (
@@ -104,7 +103,6 @@ __all__ = [
     "emit_scatter",
     "enumerate_concepts",
     "equivalent_attributes",
-    "faces",
     "is_base_attribute",
     "iter_bits",
     "lectic_key",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter
@@ -31,30 +31,7 @@ from .lattice import (
 )
 from .relevance import BaseRule, becr, stability, stability_dfs
 
-REPORT_COLUMNS = (
-    "concept_id",
-    "extent_size",
-    "intent_size",
-    "alpha",
-    "beta",
-    "becr",
-    "stability",
-    "n_mingen",
-    "n_base",
-    "n_equiv",
-    "t_becr_ns",
-    "t_stability_ns",
-)
-# the columns written as scores by format_score; the others are integers
-_SCORE_COLUMNS = frozenset(("alpha", "beta", "becr", "stability"))
-
-# the choices of which indices score_concepts computes, and the
-# REPORT_COLUMNS that `becr relevance --index` writes for each
-INDEXES = {
-    "becr": tuple(c for c in REPORT_COLUMNS[:-2] if c != "stability"),
-    "stability": REPORT_COLUMNS[:3] + ("stability",),
-    "both": REPORT_COLUMNS[:-2],
-}
+DEFAULT_TIMING_REPEATS = 5
 
 
 class ZeroVariance(ValueError):
@@ -68,7 +45,8 @@ class LengthMismatch(ValueError):
 @dataclass
 class ScoreRow:
     """One concept's scores and times, with None and 0 in the fields of an
-    index not computed.  Not frozen: a frozen row measured 5% slower on
+    index not computed.  The field order is the CSV column order
+    (REPORT_COLUMNS).  Not frozen: a frozen row measured 5% slower on
     the benchmark's paper-793x10-timed pipeline."""
     concept_id: int
     extent_size: int
@@ -82,6 +60,20 @@ class ScoreRow:
     n_equiv: int | None = None
     t_becr_ns: int = 0
     t_stability_ns: int = 0
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(ScoreRow))
+
+# the columns written as scores by format_score; the others are integers
+_SCORE_COLUMNS = frozenset(("alpha", "beta", "becr", "stability"))
+
+# the choices of which indices score_concepts computes, and the
+# REPORT_COLUMNS that `becr relevance --index` writes for each
+INDEXES = {
+    "becr": tuple(c for c in REPORT_COLUMNS[:-2] if c != "stability"),
+    "stability": REPORT_COLUMNS[:3] + ("stability",),
+    "both": REPORT_COLUMNS[:-2],
+}
 
 
 @dataclass
@@ -175,7 +167,7 @@ def score_concepts(
 def run_comparison(
     ctx: FormalContext,
     rule: BaseRule = BaseRule.WORKED_EXAMPLE,
-    timing_repeats: int = 5,
+    timing_repeats: int = DEFAULT_TIMING_REPEATS,
     concept_budget: int = DEFAULT_CONCEPT_BUDGET,
 ) -> ComparisonReport:
     """Score every concept with both indices and optionally time them.

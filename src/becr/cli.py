@@ -16,6 +16,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .bench import (
+    DEFAULT_TIMING_REPEATS,
     INDEXES,
     dataset_stats,
     emit_csv,
@@ -29,7 +30,6 @@ from .generators import IntentTooLarge
 from .lattice import (
     DEFAULT_CONCEPT_BUDGET,
     ConceptBudgetExceeded,
-    ContextTooLarge,
     build_covers,
     concepts_csv,
     enumerate_concepts,
@@ -70,7 +70,7 @@ def _load_context(path_str: str, fmt: str) -> FormalContext:
                 f"cannot infer format from {path.name!r}; pass --format",
             )
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise _CliFailure(EXIT_PARSE, f"cannot read {path}: {err}") from None
     try:
@@ -87,7 +87,7 @@ def _check_writable(output: str | None) -> None:
     if output is None:
         return
     try:
-        open(output, "a").close()
+        open(output, "a", encoding="utf-8").close()
     except OSError as err:
         raise _CliFailure(EXIT_USAGE, f"cannot write {output}: {err}") from None
 
@@ -97,7 +97,7 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
     except OSError as err:
         raise _CliFailure(EXIT_USAGE, f"cannot write {output}: {err}") from None
 
@@ -181,7 +181,7 @@ def _add_input_options(sub):
     sub.add_argument("input", help="context file")
     sub.add_argument(
         "--format",
-        choices=("auto", "cxt", "csv", "fimi"),
+        choices=("auto", *_PARSERS),
         default="auto",
         help="input format (default: by file extension)",
     )
@@ -194,6 +194,13 @@ def _add_input_options(sub):
         metavar="N",
         help=f"abort above N concepts (default {DEFAULT_CONCEPT_BUDGET})",
     )
+
+
+def _add_base_rule_option(sub):
+    sub.add_argument("--base-rule",
+                     choices=tuple(r.value for r in BaseRule),
+                     default=BaseRule.WORKED_EXAMPLE.value,
+                     help="removal-set rule for base attributes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,23 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
                      default="becr",
                      help="which index to compute (default becr); 'both' "
                           "sorts by becr")
-    sub.add_argument("--base-rule",
-                     choices=tuple(r.value for r in BaseRule),
-                     default=BaseRule.WORKED_EXAMPLE.value,
-                     help="removal-set rule for base attributes")
+    _add_base_rule_option(sub)
     sub.set_defaults(handler=_cmd_relevance, parser=sub)
 
     sub = commands.add_parser(
         "bench", help="compare becr and stability with timing")
     _add_input_options(sub)
-    sub.add_argument("--base-rule",
-                     choices=tuple(r.value for r in BaseRule),
-                     default=BaseRule.WORKED_EXAMPLE.value,
-                     help="removal-set rule for base attributes")
-    sub.add_argument("--timing-repeats", default=5, metavar="N",
+    _add_base_rule_option(sub)
+    sub.add_argument("--timing-repeats", default=DEFAULT_TIMING_REPEATS,
+                     metavar="N",
                      type=_positive_int("; pass --no-timing to skip timing"),
                      help="timed runs per concept and index, N >= 1 "
-                          "(default 5)")
+                          f"(default {DEFAULT_TIMING_REPEATS})")
     sub.add_argument("--no-timing", action="store_true",
                      help="skip timing and omit the timing columns")
     sub.add_argument("--scatter", metavar="PATH",
@@ -264,7 +266,7 @@ def main(argv=None) -> int:
     except _CliFailure as err:
         print(f"becr: {err}", file=sys.stderr)
         return err.code
-    except (ConceptBudgetExceeded, ContextTooLarge, IntentTooLarge) as err:
+    except (ConceptBudgetExceeded, IntentTooLarge) as err:
         print(f"becr: {err}", file=sys.stderr)
         return EXIT_GUARD
 

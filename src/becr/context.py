@@ -187,28 +187,7 @@ class FormalContext:
                 break  # every object in the extent keeps acc ⊇ attrs
         return acc
 
-    def cell(self, g: int, m: int) -> bool:
-        return bool(self.rows[g] >> m & 1)
-
     # -- name helpers -------------------------------------------------------
-
-    def attr_mask(self, names: Iterable[str]) -> AttrSet:
-        mask = 0
-        for name in names:
-            try:
-                mask |= 1 << self.attributes.index(name)
-            except ValueError:
-                raise ValueError(f"unknown attribute {name!r}") from None
-        return mask
-
-    def obj_mask(self, names: Iterable[str]) -> ObjSet:
-        mask = 0
-        for name in names:
-            try:
-                mask |= 1 << self.objects.index(name)
-            except ValueError:
-                raise ValueError(f"unknown object {name!r}") from None
-        return mask
 
     def attr_names(self, mask: AttrSet) -> list[str]:
         self._check_attrs(mask)

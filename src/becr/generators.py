@@ -28,13 +28,6 @@ def _generator_sort_key(mask: int) -> tuple[int, list[int]]:
     return (len(bits), bits)
 
 
-def faces(lattice: ConceptLattice, concept: FormalConcept) -> list[AttrSet]:
-    """Intent differences B \\ Bu, one per upper cover of the concept."""
-    i = lattice.index_of(concept)
-    b = concept.intent
-    return [b & ~lattice.concepts[j].intent for j in lattice.upper_covers[i]]
-
-
 def minimal_generators(
     lattice: ConceptLattice, concept: FormalConcept
 ) -> list[AttrSet]:

@@ -27,11 +27,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .context import AttrSet, FormalContext, iter_bits
-from .generators import IntentTooLarge, minimal_generators
+from .generators import (
+    BRUTE_FORCE_MAX_INTENT,
+    IntentTooLarge,
+    minimal_generators,
+)
 from .lattice import ConceptLattice, FormalConcept
 
 MAX_STABILITY_INTENT = 30
-MAX_ORACLE_INTENT = 20
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -315,9 +318,9 @@ def stability_oracle(ctx: FormalContext, concept: FormalConcept) -> StabilitySco
     """
     b = concept.intent
     k = b.bit_count()
-    if k > MAX_ORACLE_INTENT:
+    if k > BRUTE_FORCE_MAX_INTENT:
         raise IntentTooLarge(
-            f"stability oracle caps at {MAX_ORACLE_INTENT} intent attributes"
+            f"stability oracle caps at {BRUTE_FORCE_MAX_INTENT} intent attributes"
         )
     members = list(iter_bits(b))
     hits = 0

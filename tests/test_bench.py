@@ -184,7 +184,10 @@ def test_emit_csv_toy(toy_ctx):
     report = run_comparison(toy_ctx, timing_repeats=0)
     text = emit_csv(report)
     lines = text.splitlines()
-    assert lines[0] == ",".join(REPORT_COLUMNS)
+    assert lines[0] == (
+        "concept_id,extent_size,intent_size,alpha,beta,becr,stability,"
+        "n_mingen,n_base,n_equiv,t_becr_ns,t_stability_ns"
+    )
     assert lines[1] == "0,5,0,0.000000,0.000000,0.000000,1.000000,1,0,0,0,0"
     assert len(lines) == 14
     assert text.endswith("\n")

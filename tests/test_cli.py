@@ -222,14 +222,48 @@ def test_range_error_keeps_the_no_timing_hint(capsys):
         "pass --no-timing to skip timing\n")
 
 
-def test_module_entry_point():
+# turns every text open that falls back to the locale's encoding into an error
+STRICT_ENCODING = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+
+
+def _run_module(*argv, python_flags=()):
+    """``python [python_flags] -m becr argv`` in a child process."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "becr", "concepts", TOY],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "becr", *argv],
+        capture_output=True, encoding="utf-8", env=env,
     )
+
+
+def test_module_entry_point():
+    proc = _run_module("concepts", TOY)
     assert proc.returncode == 0
     assert proc.stderr.strip() == "5 8 29 13 0.725"
     assert proc.stdout.splitlines()[0] == "id,extent,intent"
+
+
+def test_file_io_passes_an_explicit_encoding(tmp_path):
+    out = str(tmp_path / "out.csv")
+    for argv in (
+        ["concepts", TOY],
+        ["relevance", TOY, "--index", "both"],
+        ["bench", TOY, "--no-timing", "--scatter", str(tmp_path / "xy.csv")],
+        ["generate", "--objects", "3", "--attributes", "2", "--density", "0.5"],
+    ):
+        proc = _run_module(*argv, "--output", out, python_flags=STRICT_ENCODING)
+        assert proc.returncode == EXIT_OK, (argv, proc.stderr)
+
+
+def test_non_ascii_names_round_trip_through_concepts_output(tmp_path):
+    ctx_file = tmp_path / "names.cxt"
+    ctx_file.write_text(
+        serialize_cxt(FormalContext.from_rows(["Zoë"], ["größe", "λ"], [0b11])),
+        encoding="utf-8",
+    )
+    out = tmp_path / "concepts.csv"
+    proc = _run_module("concepts", str(ctx_file), "--output", str(out),
+                       python_flags=STRICT_ENCODING)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert out.read_text(encoding="utf-8").splitlines()[1] == "0,Zoë,größe;λ"

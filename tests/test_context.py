@@ -47,8 +47,8 @@ def test_parse_cxt_toy(toy_ctx):
     assert toy_ctx.n_attributes == 8
     assert toy_ctx.n_incidences == 29
     assert toy_ctx.density() == Fraction(29, 40)
-    assert toy_ctx.cell(0, 0) and toy_ctx.cell(0, 7)
-    assert not toy_ctx.cell(1, 1)  # object 2 lacks b
+    assert toy_ctx.rows[0] & 1 and toy_ctx.rows[0] >> 7 & 1
+    assert not toy_ctx.rows[1] >> 1 & 1  # object 2 lacks b
     # row and column views agree cell by cell
     for g in range(5):
         for m in range(8):
@@ -281,11 +281,10 @@ def test_iter_bits():
 
 
 def test_name_mask_round_trip(toy_ctx):
-    mask = toy_ctx.attr_mask(["c", "d", "g"])
-    assert toy_ctx.attr_names(mask) == ["c", "d", "g"]
-    objs = toy_ctx.obj_mask(["1", "3"])
-    assert toy_ctx.obj_names(objs) == ["1", "3"]
-    with pytest.raises(ValueError, match="unknown attribute"):
-        toy_ctx.attr_mask(["z"])
-    with pytest.raises(ValueError, match="unknown object"):
-        toy_ctx.obj_mask(["9"])
+    assert toy_ctx.attr_names(0b101100) == ["c", "d", "g"]
+    assert toy_ctx.obj_names(0b101) == ["1", "3"]
+    assert toy_ctx.attr_names(0) == toy_ctx.obj_names(0) == []
+    with pytest.raises(ValueError, match="outside"):
+        toy_ctx.attr_names(1 << 8)
+    with pytest.raises(ValueError, match="outside"):
+        toy_ctx.obj_names(1 << 5)

@@ -11,7 +11,6 @@ from becr import (
     build_covers,
     coin_toss_context,
     enumerate_concepts,
-    faces,
     iter_bits,
     minimal_generators,
 )
@@ -34,13 +33,6 @@ def test_toy_generator_pins(toy_ctx, toy_lattice):
 
 def test_supremum_generates_from_the_empty_set(toy_lattice):
     assert minimal_generators(toy_lattice, toy_lattice.concepts[0]) == [0]
-
-
-def test_faces_are_intent_differences(toy_ctx, toy_lattice):
-    cdg = toy_lattice.concepts[3]
-    assert masks_to_names(toy_ctx, faces(toy_lattice, cdg)) \
-        == [("c", "g"), ("d",)]
-    assert faces(toy_lattice, toy_lattice.concepts[0]) == []
 
 
 def test_generators_close_to_the_intent(toy_ctx, toy_lattice):
