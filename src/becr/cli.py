@@ -79,15 +79,21 @@ def _load_context(path_str: str, fmt: str) -> FormalContext:
         raise _CliFailure(EXIT_PARSE, f"{path}: {err}") from None
 
 
-def _check_writable(output: str | None) -> None:
+def _check_writable(output: str | None) -> bool:
     """Fail before any work when ``output`` cannot be opened for writing.
 
-    Append mode creates a missing file but leaves an existing one as it is.
+    A missing file is created and True returned; an existing one is opened
+    in append mode, which leaves it as it is.
     """
     if output is None:
-        return
+        return False
     try:
-        open(output, "a", encoding="utf-8").close()
+        try:
+            open(output, "x", encoding="utf-8").close()
+            return True
+        except FileExistsError:
+            open(output, "a", encoding="utf-8").close()
+            return False
     except OSError as err:
         raise _CliFailure(EXIT_USAGE, f"cannot write {output}: {err}") from None
 
@@ -259,16 +265,24 @@ def main(argv=None) -> int:
     if extra:
         # reported by the subcommand's parser, with its own usage line
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    created = []  # output files this run made; a failed run removes them
+    code = None
     try:
         for output in (args.output, getattr(args, "scatter", None)):
-            _check_writable(output)
-        return args.handler(args)
+            if _check_writable(output):
+                created.append(output)
+        code = args.handler(args)
     except _CliFailure as err:
         print(f"becr: {err}", file=sys.stderr)
-        return err.code
+        code = err.code
     except (ConceptBudgetExceeded, IntentTooLarge) as err:
         print(f"becr: {err}", file=sys.stderr)
-        return EXIT_GUARD
+        code = EXIT_GUARD
+    finally:
+        if code != EXIT_OK:
+            for output in created:
+                Path(output).unlink(missing_ok=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -42,6 +42,16 @@ def minimal_generators(
     and that is the only test made.  Returns masks sorted by (size,
     attribute order).  A concept without upper covers (the supremum) has the
     empty set as its only generator.
+
+    Faces are taken in the order of ``lattice.upper_covers``, largest intent
+    first, so smallest face first.  The result does not depend on that
+    order, the work does: small faces first keep the families, and so the
+    blocker lists each extension is checked against, small.  The bottom
+    concept of coin-toss 14x32 (p=0.6, seed 42) has 4,005 generators; they
+    take 245k blocker scans in this order and 874k with covers in ascending
+    id order.  The lattice fixes the order once, in ``build_covers``: a sort
+    here would cost every BECR call and slow mean BECR time against
+    acceptance criterion 7.
     """
     b = concept.intent
     concepts = lattice.concepts

@@ -10,12 +10,18 @@ is always the supremum (G, G') and the last id the infimum (M', M).
 The lattice stores upper covers only: minimal generators, the one consumer
 of the order, read the faces to a concept's upper covers.  They come from
 Lindig's neighbour step (Lindig 2000, "Fast concept analysis"): the lower
-neighbours of (A, B) are the inclusion-minimal concepts among the candidates
-(A ∩ m', (A ∩ m')') for m ∉ B, and (A, B) is recorded as an upper cover of
-each, so a lattice of C concepts costs at most C * |M| candidate closures and
-no comparison of concept pairs.  Attribute extents m' are read off the
-concepts themselves, which is why ``build_covers`` needs the complete
-concept set of one context.
+neighbours of (A, B) are the concepts whose extents are the maximal ones
+among the candidate extents A ∩ m', m ∉ B, and (A, B) is recorded as an
+upper cover of each.  For a maximal candidate e, an attribute n ∉ B has
+e ⊆ n' exactly when A ∩ n' = e, so the neighbour's intent is B plus the
+attributes whose candidates equal e: a lattice of C concepts costs at most
+C * |M| candidate extents, no closure and no comparison of concept pairs.
+Attribute extents m' are read off the concepts themselves, which is why
+``build_covers`` needs the complete concept set of one context.
+
+Each concept's upper covers are stored largest intent first, so its faces
+come smallest first; Berge's step in ``minimal_generators`` scans fewer
+blockers that way (see its docstring).
 """
 from __future__ import annotations
 
@@ -116,8 +122,9 @@ def brute_force_concepts(ctx: FormalContext) -> list[FormalConcept]:
 
 @dataclass
 class ConceptLattice:
-    """Concepts plus their upper covers: ``upper_covers[i]`` holds, in
-    ascending order, the ids of the concepts directly above concept i."""
+    """Concepts plus their upper covers: ``upper_covers[i]`` holds the ids
+    of the concepts directly above concept i, largest intent first and ties
+    by ascending id, i.e. smallest face first."""
 
     concepts: list[FormalConcept]
     upper_covers: list[tuple[int, ...]]
@@ -132,62 +139,63 @@ class ConceptLattice:
         return len(self.concepts)
 
     def index_of(self, concept: FormalConcept) -> int:
-        try:
-            return self._index[concept.intent]
-        except KeyError:
-            raise ValueError("concept does not belong to this lattice") from None
+        """The id of ``concept``; ValueError unless both its intent and its
+        extent are those of a concept of this lattice."""
+        i = self._index.get(concept.intent)
+        if i is None or self.concepts[i].extent != concept.extent:
+            raise ValueError("concept does not belong to this lattice")
+        return i
 
 
 def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
-    """Upper covers by Lindig's neighbour step (C * |M| candidate closures).
+    """Upper covers by Lindig's neighbour step (C * |M| candidate extents).
 
-    ``concepts`` must be the complete concept set of one context, as
-    ``enumerate_concepts`` returns it; the ids of the result are positions in
-    that list.  A lower neighbour that the list lacks raises ValueError.
+    Concepts are visited in decreasing |B|, stable on id, so that each cover
+    tuple comes out in the order ``ConceptLattice`` documents.  ``concepts``
+    must be the complete concept set of one context, as ``enumerate_concepts``
+    returns it; the ids of the result are positions in that list.  A lower
+    neighbour that the list lacks raises ValueError.
     """
     lattice = ConceptLattice(concepts, [])
     index = lattice._index
-    objects = attributes = 0
+    attributes = 0
     for c in concepts:
-        objects |= c.extent
         attributes |= c.intent
-    # m' is the union of the extents whose intent holds m; not_ext[1 << m]
-    # is G \ m', so "e lies in m'" is the one AND "not e & not_ext[1 << m]"
-    not_ext = {}
+    # m' is the union of the extents whose intent holds m
+    ext = {}
     for m in iter_bits(attributes):
         bit = 1 << m
         m_extent = 0
         for c in concepts:
             if c.intent & bit:
                 m_extent |= c.extent
-        not_ext[bit] = objects ^ m_extent
+        ext[bit] = m_extent
     upper: list[list[int]] = [[] for _ in concepts]
-    for i, c in enumerate(concepts):
-        a, b = c.extent, c.intent
-        # Lindig's set: attributes whose candidate has not been shown to lie
-        # strictly below another candidate (or to repeat a later one)
-        minimal = outside = attributes & ~b
-        rest = outside
+    order = sorted(range(len(concepts)),
+                   key=lambda i: -concepts[i].intent.bit_count())
+    for i in order:
+        a, b = concepts[i].extent, concepts[i].intent
+        candidates = []
+        rest = attributes & ~b
         while rest:
             bit = rest & -rest
             rest ^= bit
-            e = a & ~not_ext[bit]
-            others = minimal ^ bit
-            while others:
-                low = others & -others
-                if not e & not_ext[low]:  # e lies in another minimal n'
+            e = a & ext[bit]
+            candidates.append((e.bit_count(), bit, e))
+        # largest first, so one that no kept neighbour contains is maximal;
+        # the bits are distinct, so no two extents are ever compared
+        candidates.sort(reverse=True)
+        # [extent, size, intent]: maximal candidates, merged with equal ones
+        neighbours: list[list[int]] = []
+        for size, bit, e in candidates:
+            for n in neighbours:
+                if e & n[0] == e:
+                    if size == n[1]:
+                        n[2] |= bit
                     break
-                others ^= low
-            if others:
-                minimal ^= bit
-                continue
-            d = b | bit
-            dropped = outside & ~minimal
-            while dropped:
-                low = dropped & -dropped
-                dropped ^= low
-                if not e & not_ext[low]:
-                    d |= low
+            else:
+                neighbours.append([e, size, b | bit])
+        for e, _, d in neighbours:
             j = index.get(d)
             if j is None or concepts[j].extent != e:
                 raise ValueError(

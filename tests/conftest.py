@@ -14,7 +14,7 @@ settings.load_profile("suite")
 
 
 def load_cxt(name):
-    return parse_cxt((DATA / name).read_text())
+    return parse_cxt((DATA / name).read_text(encoding="utf-8"))
 
 
 # one pass/fail line per acceptance criterion, shown in the terminal summary

@@ -24,7 +24,7 @@ def test_concepts_stats_and_csv(capsys):
 
 def test_concepts_stats_on_a_context_without_objects(tmp_path, capsys):
     path = tmp_path / "empty.cxt"
-    path.write_text("B\n\n0\n2\n\nm1\nm2\n")
+    path.write_text("B\n\n0\n2\n\nm1\nm2\n", encoding="utf-8")
     assert main(["concepts", str(path)]) == EXIT_OK
     assert capsys.readouterr().err == "0 2 0 1 0.000\n"
 
@@ -33,7 +33,8 @@ def test_concepts_output_file(tmp_path, capsys):
     target = tmp_path / "concepts.csv"
     assert main(["concepts", TOY, "--output", str(target)]) == EXIT_OK
     assert capsys.readouterr().out == ""
-    assert target.read_text().splitlines()[0] == "id,extent,intent"
+    lines = target.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "id,extent,intent"
 
 
 def test_missing_file_is_a_parse_failure(capsys):
@@ -52,7 +53,7 @@ def test_undecodable_file_is_a_parse_failure(tmp_path, capsys):
 
 def test_malformed_file_is_a_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.cxt"
-    bad.write_text("Z\nnope\n")
+    bad.write_text("Z\nnope\n", encoding="utf-8")
     assert main(["concepts", str(bad)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err == f"becr: {bad}: first line must be 'B'\n"
@@ -60,7 +61,8 @@ def test_malformed_file_is_a_parse_failure(tmp_path, capsys):
 
 def test_unknown_suffix_needs_explicit_format(tmp_path, capsys):
     ctx_file = tmp_path / "toy.dat2"
-    ctx_file.write_text(Path(TOY).read_text())
+    ctx_file.write_text(Path(TOY).read_text(encoding="utf-8"),
+                        encoding="utf-8")
     assert main(["concepts", str(ctx_file)]) == EXIT_USAGE
     assert "pass --format" in capsys.readouterr().err
     assert main(["concepts", str(ctx_file), "--format", "cxt"]) == EXIT_OK
@@ -68,12 +70,12 @@ def test_unknown_suffix_needs_explicit_format(tmp_path, capsys):
 
 def test_format_autodetection(tmp_path, capsys):
     csv_file = tmp_path / "tiny.csv"
-    csv_file.write_text("obj,m1,m2\ng1,1,0\ng2,0,1\n")
+    csv_file.write_text("obj,m1,m2\ng1,1,0\ng2,0,1\n", encoding="utf-8")
     assert main(["concepts", str(csv_file)]) == EXIT_OK
     assert capsys.readouterr().err == "2 2 2 4 0.500\n"
 
     fimi_file = tmp_path / "tiny.fimi"
-    fimi_file.write_text("1 2\n2 3\n")
+    fimi_file.write_text("1 2\n2 3\n", encoding="utf-8")
     assert main(["concepts", str(fimi_file)]) == EXIT_OK
     assert capsys.readouterr().err == "2 3 4 4 0.667\n"
 
@@ -122,7 +124,7 @@ def test_bench_scatter_file(tmp_path, capsys):
     assert main(["bench", TOY, "--no-timing",
                  "--scatter", str(scatter)]) == EXIT_OK
     capsys.readouterr()
-    assert len(scatter.read_text().splitlines()) == 13
+    assert len(scatter.read_text(encoding="utf-8").splitlines()) == 13
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
@@ -143,10 +145,29 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
 
 def test_output_check_leaves_an_existing_file_alone(tmp_path, capsys):
     target = tmp_path / "concepts.csv"
-    target.write_text("kept\n")
+    target.write_text("kept\n", encoding="utf-8")
     assert main(["concepts", str(tmp_path / "missing.cxt"),
                  "--output", str(target)]) == EXIT_PARSE
-    assert target.read_text() == "kept\n"
+    assert target.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_failed_run_removes_the_output_files_it_created(tmp_path, capsys):
+    bad = tmp_path / "bad.cxt"
+    bad.write_text("B\n\n1\n1\n\ng\nm\nZ\n", encoding="utf-8")
+    out, scatter = tmp_path / "out.csv", tmp_path / "scatter.csv"
+    assert main(["concepts", str(bad), "--output", str(out)]) == EXIT_PARSE
+    assert "illegal" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["bench", TOY, "--concept-budget", "1", "--output", str(out),
+                 "--scatter", str(scatter)]) == EXIT_GUARD
+    assert "raise the budget" in capsys.readouterr().err
+    assert not out.exists() and not scatter.exists()
+    # a file that existed before the run is left as it was
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(["bench", TOY, "--concept-budget", "1", "--output", str(out),
+                 "--scatter", str(scatter)]) == EXIT_GUARD
+    assert out.read_text(encoding="utf-8") == "kept\n"
+    assert not scatter.exists()
 
 
 def test_bench_timing_columns_present(capsys):
@@ -164,7 +185,7 @@ def test_intent_guard_exit(tmp_path, capsys):
     wide = FormalContext.from_rows(
         ["g"], [f"m{j}" for j in range(31)], [(1 << 31) - 1])
     path = tmp_path / "wide.cxt"
-    path.write_text(serialize_cxt(wide))
+    path.write_text(serialize_cxt(wide), encoding="utf-8")
     assert main(["relevance", str(path), "--index", "stability"]) == EXIT_GUARD
     assert capsys.readouterr().err.startswith("becr: concept 0:")
     # the becr index alone never computes stability, so its guard cannot trip
@@ -174,7 +195,7 @@ def test_intent_guard_exit(tmp_path, capsys):
 
 def test_oversized_csv_field_is_a_parse_failure(tmp_path, capsys):
     big = tmp_path / "big.csv"
-    big.write_text("obj,m1\ng1," + "1" * 131073 + "\n")
+    big.write_text("obj,m1\ng1," + "1" * 131073 + "\n", encoding="utf-8")
     assert main(["concepts", str(big)]) == EXIT_PARSE
     assert "field larger than field limit" in capsys.readouterr().err
 
@@ -191,7 +212,7 @@ def test_generate_is_deterministic(tmp_path):
     a, b = tmp_path / "a.cxt", tmp_path / "b.cxt"
     assert main(argv + ["--output", str(a)]) == EXIT_OK
     assert main(argv + ["--output", str(b)]) == EXIT_OK
-    assert a.read_text() == b.read_text()
+    assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv", [

@@ -56,7 +56,7 @@ def test_parse_cxt_toy(toy_ctx):
 
 
 def test_serialize_cxt_round_trip_exact():
-    text = (DATA / "toy.cxt").read_text()
+    text = (DATA / "toy.cxt").read_text(encoding="utf-8")
     assert serialize_cxt(parse_cxt(text)) == text
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from becr import (
     CoinTossSpec,
+    ConceptLattice,
     FormalContext,
     IntentTooLarge,
     brute_force_minimal_generators,
@@ -87,6 +88,23 @@ def test_matches_powerset_oracle_on_large_families():
             assert gens == brute_force_minimal_generators(ctx, concept)
             largest = max(largest, len(gens))
     assert largest >= 50
+
+
+def test_face_order_changes_no_generator_family():
+    # build_covers stores faces smallest first only to save work: with every
+    # cover tuple shuffled, each family still matches the powerset oracle
+    rng = random.Random(505)
+    for _ in range(60):
+        ctx = random_context(rng, max_objects=9, max_attributes=8)
+        concepts = enumerate_concepts(ctx)
+        covers = [
+            tuple(rng.sample(u, len(u)))
+            for u in build_covers(concepts).upper_covers
+        ]
+        lattice = ConceptLattice(concepts, covers)
+        for concept in concepts:
+            assert minimal_generators(lattice, concept) == \
+                brute_force_minimal_generators(ctx, concept)
 
 
 @pytest.mark.parametrize("spec,total,largest", [

@@ -10,6 +10,7 @@ from becr import (
     ContextTooLarge,
     FormalConcept,
     FormalContext,
+    becr,
     brute_force_concepts,
     build_covers,
     concepts_csv,
@@ -101,7 +102,8 @@ def test_brute_force_object_guard():
 # -- covers -------------------------------------------------------------------
 
 def upper_covers_oracle(concepts):
-    """Transitive reduction of extent containment, computed the slow way."""
+    """Transitive reduction of extent containment, computed the slow way,
+    each tuple in the documented order: largest intent first, then by id."""
     n = len(concepts)
     above = [
         {j for j in range(n)
@@ -111,8 +113,9 @@ def upper_covers_oracle(concepts):
     ]
     return [
         tuple(sorted(
-            j for j in above[i]
-            if not any(j in above[k] for k in above[i] if k != j)
+            (j for j in above[i]
+             if not any(j in above[k] for k in above[i] if k != j)),
+            key=lambda j: (-concepts[j].intent.bit_count(), j),
         ))
         for i in range(n)
     ]
@@ -121,8 +124,9 @@ def upper_covers_oracle(concepts):
 def test_toy_covers(toy_ctx, toy_lattice):
     assert len(toy_lattice) == 13
     assert toy_lattice.upper_covers == upper_covers_oracle(toy_lattice.concepts)
-    # spot checks: cdg sits under d and cg, the top covers nothing
-    assert toy_lattice.upper_covers[3] == (1, 2)
+    # spot checks: cdg sits under cg and d (larger intent first), the top
+    # covers nothing
+    assert toy_lattice.upper_covers[3] == (2, 1)
     assert toy_lattice.upper_covers[0] == ()
 
 
@@ -185,6 +189,21 @@ def test_index_of(toy_lattice):
     foreign = FormalConcept(extent=0, intent=0b1)  # {a} is not closed
     with pytest.raises(ValueError):
         toy_lattice.index_of(foreign)
+    # the extent counts too: intent {c} is closed in both contexts below,
+    # with extent {2, 3} in c1 and {3} in c2, and c2's concept must not pass
+    # for c1's
+    c1 = FormalContext.from_rows(["1", "2", "3"], ["a", "b", "c"],
+                                 [0b011, 0b110, 0b101])
+    c2 = FormalContext.from_rows(["1", "2", "3"], ["a", "b", "c"],
+                                 [0b011, 0b011, 0b100])
+    lattice = build_covers(enumerate_concepts(c1))
+    foreign = FormalConcept(extent=0b100, intent=0b100)
+    assert foreign in enumerate_concepts(c2)
+    assert FormalConcept(0b110, 0b100) in lattice.concepts
+    with pytest.raises(ValueError, match="does not belong to this lattice"):
+        lattice.index_of(foreign)
+    with pytest.raises(ValueError, match="does not belong to this lattice"):
+        becr(c1, lattice, foreign)
 
 
 # -- export -------------------------------------------------------------------

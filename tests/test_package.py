@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_lists_exactly_the_public_imports():
-    tree = ast.parse(Path(becr.__file__).read_text())
+    tree = ast.parse(Path(becr.__file__).read_text(encoding="utf-8"))
     imported = [
         alias.asname or alias.name
         for node in tree.body if isinstance(node, ast.ImportFrom)
@@ -26,14 +26,15 @@ def test_all_lists_exactly_the_public_imports():
 
 
 def test_readme_python_api_example_runs():
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Python API", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-c", code],
-        capture_output=True, text=True, env=env, cwd=ROOT,
+        [sys.executable, "-X", "dev", "-X", "warn_default_encoding",
+         "-c", code],
+        capture_output=True, encoding="utf-8", env=env, cwd=ROOT,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "1/2 1/3 2/3\n3/8\n"
