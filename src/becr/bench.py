@@ -63,6 +63,8 @@ class ScoreRow:
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(ScoreRow))
+# all but the two timing columns
+_UNTIMED_COLUMNS = REPORT_COLUMNS[:-2]
 
 # the columns written as scores by format_score; the others are integers
 _SCORE_COLUMNS = frozenset(("alpha", "beta", "becr", "stability"))
@@ -70,9 +72,9 @@ _SCORE_COLUMNS = frozenset(("alpha", "beta", "becr", "stability"))
 # the choices of which indices score_concepts computes, and the
 # REPORT_COLUMNS that `becr relevance --index` writes for each
 INDEXES = {
-    "becr": tuple(c for c in REPORT_COLUMNS[:-2] if c != "stability"),
+    "becr": tuple(c for c in _UNTIMED_COLUMNS if c != "stability"),
     "stability": REPORT_COLUMNS[:3] + ("stability",),
-    "both": REPORT_COLUMNS[:-2],
+    "both": _UNTIMED_COLUMNS,
 }
 
 
@@ -209,7 +211,7 @@ def emit_table(rows: Sequence[ScoreRow], columns: Sequence[str]) -> str:
 def emit_csv(report: ComparisonReport, include_timing: bool = True) -> str:
     """Report CSV; timing columns are dropped when ``include_timing`` is False."""
     return emit_table(report.rows,
-                      REPORT_COLUMNS if include_timing else REPORT_COLUMNS[:-2])
+                      REPORT_COLUMNS if include_timing else _UNTIMED_COLUMNS)
 
 
 def emit_scatter(report: ComparisonReport) -> str:

@@ -5,12 +5,14 @@ Four subcommands: ``concepts`` (enumerate and export the lattice),
 comparison with timing), and ``generate`` (random coin-toss contexts).
 
 Exit codes: 0 success, 1 usage error (including an output path that
-cannot be written), 2 unreadable or malformed input, 3 tripped size guard
-(concept budget or intent guard).
+cannot be written, or ``--output`` and ``--scatter`` naming one file),
+2 unreadable or malformed input, 3 tripped size guard (concept budget or
+intent guard).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from operator import attrgetter
 from pathlib import Path
@@ -268,9 +270,14 @@ def main(argv=None) -> int:
     created = []  # output files this run made; a failed run removes them
     code = None
     try:
-        for output in (args.output, getattr(args, "scatter", None)):
+        outputs = (args.output, getattr(args, "scatter", None))
+        for output in outputs:
             if _check_writable(output):
                 created.append(output)
+        # the score table would be written first and then overwritten
+        if None not in outputs and os.path.samefile(*outputs):
+            raise _CliFailure(EXIT_USAGE, "--output and --scatter name the "
+                                          f"same file: {args.scatter}")
         code = args.handler(args)
     except _CliFailure as err:
         print(f"becr: {err}", file=sys.stderr)

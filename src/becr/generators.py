@@ -33,45 +33,41 @@ def minimal_generators(
 ) -> list[AttrSet]:
     """All minimal generators of the concept's intent.
 
-    Berge's transversal step (Berge 1989), one face at a time, starting from
-    the empty set.  Candidates that meet the new face survive; each one that
-    misses it is extended by every attribute ``a`` of the face.  Candidates
-    form an antichain, so no extension lies inside a survivor and no two
-    extensions coincide or contain each other: ``cand | a`` is non-minimal
-    exactly when it contains a survivor that meets the face in ``a`` alone,
-    and that is the only test made.  Returns masks sorted by (size,
-    attribute order).  A concept without upper covers (the supremum) has the
-    empty set as its only generator.
+    Berge's transversal step (Berge 1989), one face at a time.  Candidates
+    that meet the new face survive; each one that misses it is extended by
+    every attribute ``a`` of the face.  Candidates form an antichain, so no
+    extension lies inside a survivor and no two extensions coincide or
+    contain each other: ``cand | a`` is non-minimal exactly when it contains
+    a survivor that meets the face in ``a`` alone, and that is the only test
+    made.  Returns masks sorted by (size, attribute order).  A concept
+    without upper covers (the supremum) has the empty set as its only
+    generator.
 
-    Faces are taken in the order of ``lattice.upper_covers``, largest intent
-    first, so smallest face first.  The result does not depend on that
+    The step starts from ``forced``, the union of the one-attribute faces:
+    each face {a} must be hit, so ``a`` is in every generator, and every
+    face that meets ``forced`` is skipped.  A concept has one generator
+    exactly when ``forced`` meets all its faces, and then no step runs (833
+    of the 848 concepts of coin-toss 793x10).  The other faces are taken
+    smallest first, ties in cover order.  The result does not depend on that
     order, the work does: small faces first keep the families, and so the
-    blocker lists each extension is checked against, small.  The bottom
-    concept of coin-toss 14x32 (p=0.6, seed 42) has 4,005 generators; they
-    take 245k blocker scans in this order and 874k with covers in ascending
-    id order.  The lattice fixes the order once, in ``build_covers``: a sort
-    here would cost every BECR call and slow mean BECR time against
-    acceptance criterion 7.
+    blocker lists, small.  The bottom concept of coin-toss 14x32 (p=0.6,
+    seed 42) has 4,005 generators; they take 245k blocker scans in this
+    order and 874k in cover id order.
     """
     b = concept.intent
     concepts = lattice.concepts
-    h = [0]
+    forced = 0
+    faces = []
     for cid in lattice.upper_covers[lattice.index_of(concept)]:
         face = b & ~concepts[cid].intent
-        if len(h) == 1:
-            # Same result as the general step, without its lists and dict.
-            # 833 of the 848 concepts of coin-toss 793x10 have one generator;
-            # without this step generators cost about 1.6x as much there and
-            # mean BECR time rises from about 0.83 to 0.97-1.01 of mean
-            # stability time, against acceptance criterion 7.
-            cand = h[0]
-            if cand & face:
-                continue
-            h = []
-            while face:
-                low = face & -face
-                face ^= low
-                h.append(cand | low)
+        if face & (face - 1):
+            faces.append(face)
+        else:
+            forced |= face
+    faces.sort(key=int.bit_count)
+    h = [forced]
+    for face in faces:
+        if face & forced:
             continue
         kept: list[int] = []
         missed: list[int] = []

@@ -18,10 +18,6 @@ attributes whose candidates equal e: a lattice of C concepts costs at most
 C * |M| candidate extents, no closure and no comparison of concept pairs.
 Attribute extents m' are read off the concepts themselves, which is why
 ``build_covers`` needs the complete concept set of one context.
-
-Each concept's upper covers are stored largest intent first, so its faces
-come smallest first; Berge's step in ``minimal_generators`` scans fewer
-blockers that way (see its docstring).
 """
 from __future__ import annotations
 
@@ -123,8 +119,7 @@ def brute_force_concepts(ctx: FormalContext) -> list[FormalConcept]:
 @dataclass
 class ConceptLattice:
     """Concepts plus their upper covers: ``upper_covers[i]`` holds the ids
-    of the concepts directly above concept i, largest intent first and ties
-    by ascending id, i.e. smallest face first."""
+    of the concepts directly above concept i, in ascending order."""
 
     concepts: list[FormalConcept]
     upper_covers: list[tuple[int, ...]]
@@ -150,11 +145,10 @@ class ConceptLattice:
 def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     """Upper covers by Lindig's neighbour step (C * |M| candidate extents).
 
-    Concepts are visited in decreasing |B|, stable on id, so that each cover
-    tuple comes out in the order ``ConceptLattice`` documents.  ``concepts``
-    must be the complete concept set of one context, as ``enumerate_concepts``
-    returns it; the ids of the result are positions in that list.  A lower
-    neighbour that the list lacks raises ValueError.
+    Concepts are visited in id order, so each cover tuple comes out
+    ascending.  ``concepts`` must be the complete concept set of one context,
+    as ``enumerate_concepts`` returns it; the ids of the result are positions
+    in that list.  A lower neighbour that the list lacks raises ValueError.
     """
     lattice = ConceptLattice(concepts, [])
     index = lattice._index
@@ -171,10 +165,8 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
                 m_extent |= c.extent
         ext[bit] = m_extent
     upper: list[list[int]] = [[] for _ in concepts]
-    order = sorted(range(len(concepts)),
-                   key=lambda i: -concepts[i].intent.bit_count())
-    for i in order:
-        a, b = concepts[i].extent, concepts[i].intent
+    for i, c in enumerate(concepts):
+        a, b = c.extent, c.intent
         candidates = []
         rest = attributes & ~b
         while rest:

@@ -143,6 +143,22 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+def test_output_and_scatter_must_differ(tmp_path, capsys):
+    # one new path, and one existing file spelled two ways: the run fails
+    # before the input is read, removes what it created and keeps the rest
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_text("kept\n", encoding="utf-8")
+    for first, second in ((fresh, fresh), (kept, tmp_path / "." / "kept.csv")):
+        assert main(["bench", TOY, "--no-timing", "--output", str(first),
+                     "--scatter", str(second)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("becr: --output and --scatter name the same "
+                                f"file: {second}\n")
+    assert not fresh.exists()
+    assert kept.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_output_check_leaves_an_existing_file_alone(tmp_path, capsys):
     target = tmp_path / "concepts.csv"
     target.write_text("kept\n", encoding="utf-8")

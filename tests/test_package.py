@@ -38,3 +38,15 @@ def test_readme_python_api_example_runs():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "1/2 1/3 2/3\n3/8\n"
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: newer syntax, such as
+    # except* or PEP 695 generics, fails here under any interpreter.  Stdlib
+    # APIs newer than 3.10 are left to a run on 3.10 itself.
+    paths = sorted((ROOT / "src" / "becr").rglob("*.py"))
+    paths += sorted((ROOT / "tests").rglob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
