@@ -6,7 +6,11 @@ order, and subsets of either side travel as plain ``int`` bitmasks: bit ``j``
 of an attribute mask stands for attribute ``j``, bit ``g`` of an object mask
 for object ``g``.  The context keeps both the row view (one attribute mask
 per object) and the column view (one object mask per attribute), so each
-derivation costs one AND per member bit of the input mask.
+derivation costs one AND per member bit of the input mask.  Building a
+context costs time linear in |G|·|M|: the columns come from one transpose
+of the rows through a string of binary digits, not from one |G|-bit
+update per incidence, and the parsers check each cell or distinct FIMI
+token once.
 
 Derivation follows the usual Galois convention for the empty set: the shared
 attributes of no objects are all attributes, and the common objects of no
@@ -18,6 +22,7 @@ import csv as _csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
 # Masks are plain ints; the aliases keep signatures readable.
@@ -102,13 +107,18 @@ class FormalContext:
                 f"{len(objs)} object names but {len(row_masks)} rows"
             )
         m = len(attrs)
-        cols = [0] * m
         for g, row in enumerate(row_masks):
             if row < 0 or row >> m:
                 raise ValueError(f"row {g} has bits outside {m} attributes")
-            for j in iter_bits(row):
-                cols[j] |= 1 << g
-        return cls(objs, attrs, row_masks, tuple(cols))
+        if not (m and row_masks):  # an empty table, and int("", 2) fails
+            return cls(objs, attrs, row_masks, (0,) * m)
+        # one transpose: the table holds each row as m binary digits (bin of
+        # row | top, less "0b1"), last object first, so column j is every
+        # m-th digit from m - 1 - j
+        top = 1 << m
+        table = "".join([bin(row | top)[3:] for row in reversed(row_masks)])
+        cols = tuple(int(table[m - 1 - j::m], 2) for j in range(m))
+        return cls(objs, attrs, row_masks, cols)
 
     # -- dimensions ---------------------------------------------------------
 
@@ -122,7 +132,7 @@ class FormalContext:
 
     @property
     def n_incidences(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
+        return sum(col.bit_count() for col in self.cols)
 
     @property
     def all_objects(self) -> ObjSet:
@@ -195,7 +205,15 @@ class FormalContext:
 
     def obj_names(self, mask: ObjSet) -> list[str]:
         self._check_objs(mask)
-        return [self.objects[g] for g in iter_bits(mask)]
+        # iter_bits rebuilds the |G|-bit mask at every set bit; str.find
+        # walks the digits once
+        bits = bin(mask)[:1:-1]  # bits[g] is bit g
+        names = []
+        g = bits.find("1")
+        while g >= 0:
+            names.append(self.objects[g])
+            g = bits.find("1", g + 1)
+        return names
 
 
 # -- Burmeister .cxt --------------------------------------------------------
@@ -256,6 +274,9 @@ def parse_cxt(text: str) -> FormalContext:
         raise MalformedHeader(str(err)) from None
 
 
+_CXT_CELLS = str.maketrans("01", ".X")
+
+
 def serialize_cxt(ctx: FormalContext) -> str:
     """Render Burmeister format with '\\n' line endings.
 
@@ -270,9 +291,9 @@ def serialize_cxt(ctx: FormalContext) -> str:
     out = ["B", "", str(ctx.n_objects), str(ctx.n_attributes), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)
-    m = ctx.n_attributes
-    for row in ctx.rows:
-        out.append("".join("X" if row >> j & 1 else "." for j in range(m)))
+    # bin(row | top) is "0b1" and then the m cells, attribute m - 1 first
+    top = 1 << ctx.n_attributes
+    out.extend(bin(row | top)[:2:-1].translate(_CXT_CELLS) for row in ctx.rows)
     return "\n".join(out) + "\n"
 
 
@@ -328,28 +349,36 @@ def parse_fimi(text: str) -> FormalContext:
     """Parse FIMI transaction data: one whitespace-separated item list per line.
 
     Objects are named by 1-based line number; attributes by their integer
-    item ids, in ascending numeric order.
+    item ids, in ascending numeric order.  Tokens that read as the same
+    integer (``1`` and ``01``) name one item, and an item listed twice on
+    a line is one incidence.
     """
-    transactions = []
-    for i, line in enumerate(text.splitlines()):
-        items = set()
-        for token in line.split():
-            # str.isdigit alone admits non-ASCII digits such as '²'
-            if not (token.isascii() and token.isdigit()):
-                raise MalformedRow(f"line {i + 1}: non-integer item {token!r}")
-            try:
-                items.add(int(token))
-            except ValueError:  # over the interpreter's int digit limit
-                raise MalformedRow(f"line {i + 1}: item too long") from None
-        transactions.append(items)
-    ids = sorted({item for t in transactions for item in t})
-    index = {item: j for j, item in enumerate(ids)}
-    rows = [
-        sum(1 << index[item] for item in t)
-        for t in transactions
-    ]
+    lines = [line.split() for line in text.splitlines()]
+    # each distinct token is checked and converted once
+    ids = {}
+    bad = {}
+    for token in set(chain.from_iterable(lines)):
+        # str.isdigit alone admits non-ASCII digits such as '²'
+        if not (token.isascii() and token.isdigit()):
+            bad[token] = f"non-integer item {token!r}"
+            continue
+        try:
+            ids[token] = int(token)
+        except ValueError:  # over the interpreter's int digit limit
+            bad[token] = "item too long"
+    if bad:  # report the first bad token in reading order
+        for i, tokens in enumerate(lines):
+            for token in tokens:
+                if token in bad:
+                    raise MalformedRow(f"line {i + 1}: {bad[token]}")
+    items = sorted(set(ids.values()))
+    index = {item: j for j, item in enumerate(items)}
+    bit = {token: 1 << index[item] for token, item in ids.items()}
+    # a row is the OR of its tokens' bits: the sum of the distinct ones
+    lookup = bit.__getitem__
+    rows = [sum({*map(lookup, tokens)}) for tokens in lines]
     return FormalContext.from_rows(
-        [str(i + 1) for i in range(len(transactions))],
-        [str(item) for item in ids],
+        map(str, range(1, len(lines) + 1)),
+        map(str, items),
         rows,
     )

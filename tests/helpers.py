@@ -1,7 +1,7 @@
 """Small utilities shared by the test modules."""
 import random
 
-from becr import FormalContext
+from becr import FormalContext, MalformedRow
 
 
 def random_context(rng: random.Random, max_objects: int = 8,
@@ -29,3 +29,43 @@ def generator_key(mask: int):
         mask ^= low
         bits.append(low)
     return (len(bits), bits)
+
+
+def columns_oracle(rows, m: int) -> tuple[int, ...]:
+    """Object mask of each of m attributes, one incidence at a time."""
+    cols = [0] * m
+    for g, row in enumerate(rows):
+        for j in range(m):
+            if row >> j & 1:
+                cols[j] |= 1 << g
+    return tuple(cols)
+
+
+def fimi_oracle(text: str):
+    """(item ids ascending, row masks) of FIMI text, one token at a time.
+
+    Raises MalformedRow for the first bad token in reading order.
+    """
+    transactions = []
+    for i, line in enumerate(text.splitlines()):
+        items = set()
+        for token in line.split():
+            if not (token.isascii() and token.isdigit()):
+                raise MalformedRow(f"line {i + 1}: non-integer item {token!r}")
+            try:
+                items.add(int(token))
+            except ValueError:  # over the interpreter's int digit limit
+                raise MalformedRow(f"line {i + 1}: item too long") from None
+        transactions.append(items)
+    ids = sorted({item for t in transactions for item in t})
+    index = {item: j for j, item in enumerate(ids)}
+    return ids, [sum(1 << index[item] for item in t) for t in transactions]
+
+
+def cxt_rows_oracle(ctx: FormalContext) -> list[str]:
+    """The cross-table lines of ctx in Burmeister format, one cell at a time."""
+    m = ctx.n_attributes
+    return [
+        "".join("X" if row >> j & 1 else "." for j in range(m))
+        for row in ctx.rows
+    ]

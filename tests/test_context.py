@@ -20,6 +20,7 @@ from becr import (
     serialize_cxt,
 )
 from conftest import DATA
+from helpers import columns_oracle, cxt_rows_oracle, fimi_oracle
 
 
 @st.composite
@@ -95,6 +96,17 @@ def test_serialize_cxt_round_trips_or_refuses(data):
         assert any(n.splitlines() != [n] for n in objects + attributes)
         return
     assert parse_cxt(text) == ctx
+
+
+@given(st.integers(0, 5), st.integers(0, 70), st.data())
+def test_serialize_cxt_table_matches_the_cell_oracle(m, n, data):
+    rows = data.draw(st.lists(st.integers(0, (1 << m) - 1),
+                              min_size=n, max_size=n))
+    ctx = FormalContext.from_rows(
+        [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows
+    )
+    lines = serialize_cxt(ctx).split("\n")
+    assert lines[5 + n + m:] == cxt_rows_oracle(ctx) + [""]
 
 
 @pytest.mark.parametrize("text,exc", [
@@ -179,6 +191,66 @@ def test_parse_fimi_rejects_non_integer():
             parse_fimi(text)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1 2\n3 x\n", "line 2: non-integer item 'x'"),
+    # the first bad token in reading order is named, whatever its kind
+    ("1 x\n" + "9" * 5000, "line 1: non-integer item 'x'"),
+    ("9" * 5000 + " x", "line 1: item too long"),
+    ("x\n\n1 -1 x", "line 1: non-integer item 'x'"),
+])
+def test_parse_fimi_names_the_first_bad_token(text, message):
+    with pytest.raises(MalformedRow) as err:
+        parse_fimi(text)
+    assert str(err.value) == message
+
+
+def test_parse_fimi_aliased_and_repeated_items_are_one_incidence():
+    ctx = parse_fimi("1 01 1\n001\t2\r\n")
+    assert ctx.attributes == ("1", "2")
+    assert ctx.rows == (0b01, 0b11)
+    assert ctx.n_incidences == 3
+
+
+_fimi_token = st.sampled_from(
+    ["0", "00", "1", "01", "001", "2", "10", "010", "7", "123"]
+) | st.integers(0, 300).map(str)
+_fimi_bad_token = st.sampled_from(["x", "²", "1٣", "-1", "+2", "9" * 5000])
+_fimi_gap = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def fimi_text(draw, token=_fimi_token):
+    lines = []
+    for tokens in draw(st.lists(st.lists(token, max_size=6), max_size=12)):
+        gaps = draw(st.lists(_fimi_gap, min_size=len(tokens),
+                             max_size=len(tokens)))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        lines.append(lead + "".join(g + t for g, t in zip(gaps, tokens)) + end)
+    return "".join(lines)
+
+
+@given(fimi_text())
+def test_parse_fimi_matches_the_per_token_oracle(text):
+    ids, rows = fimi_oracle(text)
+    ctx = parse_fimi(text)
+    assert ctx.attributes == tuple(map(str, ids))
+    assert ctx.rows == tuple(rows)
+    assert ctx.objects == tuple(str(i + 1) for i in range(len(rows)))
+
+
+@given(fimi_text(_fimi_token | _fimi_bad_token))
+def test_parse_fimi_raises_what_the_oracle_raises(text):
+    try:
+        expected = fimi_oracle(text)
+    except MalformedRow as err:
+        with pytest.raises(MalformedRow) as got:
+            parse_fimi(text)
+        assert str(got.value) == str(err)
+    else:
+        assert parse_fimi(text).rows == tuple(expected[1])
+
+
 # characters that steer the parsers into their branches, plus any character
 _parser_text = st.text(st.sampled_from("B\n\r X.x01,\"²-") | st.characters())
 
@@ -212,6 +284,19 @@ def test_from_rows_validation():
         FormalContext.from_rows(["g"], ["m"], [0b10])
     with pytest.raises(ValueError, match="outside"):
         FormalContext.from_rows(["g"], ["m"], [-1])
+
+
+@given(st.integers(0, 9), st.integers(0, 140), st.data())
+def test_from_rows_columns_match_the_per_incidence_oracle(m, n, data):
+    # rows below 1 << (m - 1) leave the top attribute unset in every row
+    top = data.draw(st.sampled_from([m, max(m - 1, 0)]))
+    rows = data.draw(st.lists(st.integers(0, (1 << top) - 1),
+                              min_size=n, max_size=n))
+    ctx = FormalContext.from_rows(
+        [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows
+    )
+    assert ctx.cols == columns_oracle(rows, m)
+    assert ctx.n_incidences == sum(row.bit_count() for row in rows)
 
 
 def test_density_undefined_on_zero_area():
@@ -278,6 +363,13 @@ def test_iter_bits():
     assert list(iter_bits(0b101001)) == [0, 3, 5]
     with pytest.raises(ValueError):
         list(iter_bits(-1))
+
+
+@given(st.integers(0, 200), st.data())
+def test_obj_names_follow_iter_bits(n, data):
+    ctx = FormalContext.from_rows([f"g{i}" for i in range(n)], [], [0] * n)
+    mask = data.draw(st.integers(0, ctx.all_objects))
+    assert ctx.obj_names(mask) == [ctx.objects[g] for g in iter_bits(mask)]
 
 
 def test_name_mask_round_trip(toy_ctx):
