@@ -2,10 +2,11 @@
 
 Concepts are the fixed points of the derivation Galois connection: pairs
 (extent, intent) with extent' = intent and intent' = extent.  They are
-enumerated by Ganter's next-closure scheme in ascending lectic order of
-intents (attribute 0 has the highest priority), which makes concept ids --
-0-based positions in that order -- deterministic for a given context.  Id 0
-is always the supremum (G, G') and the last id the infimum (M', M).
+enumerated by Close-by-One (Kuznetsov 1993), at most |M| child extents
+A ∩ m' per concept, in ascending lectic order of intents (attribute 0 has
+the highest priority), which makes concept ids -- 0-based positions in
+that order -- deterministic for a given context.  Id 0 is always the
+supremum (G, G') and the last id the infimum (M', M).
 
 The lattice stores upper covers only: minimal generators, the one consumer
 of the order, read the faces to a concept's upper covers.  They come from
@@ -63,39 +64,45 @@ def enumerate_concepts(
 ) -> list[FormalConcept]:
     """All concepts of ``ctx`` in ascending lectic order of intents.
 
+    Depth first from (G, G'): (A, B) tries each m ∉ B past its own m, with
+    one AND for the child extent A ∩ m' and a walk over its rows for the
+    intent, kept iff that adds nothing below m.  Children pop largest m
+    first, a lectic pre-order: all under the child at m hold m and agree
+    with B below m, and none under a larger m holds m.
+
     Raises ConceptBudgetExceeded as soon as the count would pass ``budget``.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    n = ctx.n_attributes
-    intent = ctx.close_attrs(0)
-    concepts = [FormalConcept(ctx.derive_extent(intent), intent)]
-    full = ctx.all_attributes
-    while intent != full:
-        for i in reversed(range(n)):
-            bit = 1 << i
-            if intent & bit:
-                continue
-            below = bit - 1  # attributes with index < i
-            candidate = ctx.close_attrs((intent & below) | bit)
-            if (candidate & below) == (intent & below):
-                intent = candidate
-                break
-        else:  # pragma: no cover - unreachable: M is always closed
-            break
+    rows, cols, full = ctx.rows, ctx.cols, ctx.all_attributes
+    concepts = []
+    stack = [(ctx.all_objects, ctx.close_attrs(0), 0)]  # (A, B, first m)
+    while stack:
+        extent, intent, start = stack.pop()
         if len(concepts) >= budget:
             raise ConceptBudgetExceeded(
                 f"more than {budget} concepts; raise the budget to continue"
             )
-        concepts.append(FormalConcept(ctx.derive_extent(intent), intent))
+        concepts.append(FormalConcept(extent, intent))
+        for m in range(start, ctx.n_attributes):
+            bit = 1 << m
+            if intent & bit:
+                continue
+            child = rest = extent & cols[m]
+            acc, target = full, intent | bit
+            while rest and acc != target:  # each row keeps acc ⊇ target
+                low = rest & -rest
+                rest ^= low
+                acc &= rows[low.bit_length() - 1]
+            if (acc ^ intent) & (bit - 1) == 0:
+                stack.append((child, acc, m + 1))
     return concepts
 
 
 def brute_force_concepts(ctx: FormalContext) -> list[FormalConcept]:
     """Oracle enumeration: close every object subset, dedupe, sort lectically.
 
-    Independent of next-closure; intended for testing enumerate_concepts.
-    Guarded to |G| <= 20 objects.
+    Independent of Close-by-One; guarded to |G| <= 20 objects.
     """
     n = ctx.n_objects
     if n > BRUTE_FORCE_MAX_OBJECTS:

@@ -1,7 +1,7 @@
 """Small utilities shared by the test modules."""
 import random
 
-from becr import FormalContext, MalformedRow
+from becr import FormalConcept, FormalContext, MalformedRow
 
 
 def random_context(rng: random.Random, max_objects: int = 8,
@@ -19,6 +19,29 @@ def random_context(rng: random.Random, max_objects: int = 8,
         [f"m{j + 1}" for j in range(m)],
         rows,
     )
+
+
+def next_closure_oracle(ctx: FormalContext) -> list[FormalConcept]:
+    """All concepts in ascending lectic order by Ganter's next-closure.
+
+    Each step closes (B below i) + i for the largest i that gives a closure
+    adding nothing below i, from scratch with ``close_attrs``.
+    """
+    intent = ctx.close_attrs(0)
+    concepts = [FormalConcept(ctx.derive_extent(intent), intent)]
+    full = ctx.all_attributes
+    while intent != full:
+        for i in reversed(range(ctx.n_attributes)):
+            bit = 1 << i
+            if intent & bit:
+                continue
+            below = bit - 1  # attributes with index < i
+            candidate = ctx.close_attrs((intent & below) | bit)
+            if (candidate & below) == (intent & below):
+                intent = candidate
+                break
+        concepts.append(FormalConcept(ctx.derive_extent(intent), intent))
+    return concepts
 
 
 def generator_key(mask: int):

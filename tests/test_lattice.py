@@ -6,6 +6,7 @@ import random
 import pytest
 
 from becr import (
+    CoinTossSpec,
     ConceptBudgetExceeded,
     ContextTooLarge,
     FormalConcept,
@@ -13,12 +14,13 @@ from becr import (
     becr,
     brute_force_concepts,
     build_covers,
+    coin_toss_context,
     concepts_csv,
     enumerate_concepts,
     lectic_key,
     parse_csv,
 )
-from helpers import random_context
+from helpers import next_closure_oracle, random_context
 
 # extents and intents of the toy lattice in enumeration order
 TOY_CONCEPTS = [
@@ -77,6 +79,56 @@ def test_enumerate_matches_brute_force_fuzz():
         assert enumerate_concepts(ctx) == brute_force_concepts(ctx)
 
 
+def assert_matches_next_closure(ctx):
+    concepts = enumerate_concepts(ctx)
+    assert concepts == next_closure_oracle(ctx)
+    keys = [lectic_key(c.intent, ctx.n_attributes) for c in concepts]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    return concepts
+
+
+def test_enumerate_matches_next_closure_past_the_brute_force_cap():
+    # 21-60 objects, up to 40 attributes; sparse enough that the lattices
+    # stay in the thousands of concepts
+    rng = random.Random(105)
+    for _ in range(40):
+        n, m = rng.randint(21, 60), rng.randint(1, 40)
+        p = rng.uniform(0.05, 0.5)
+        ctx = FormalContext.from_rows(
+            [f"g{i}" for i in range(n)],
+            [f"m{j}" for j in range(m)],
+            [sum(1 << j for j in range(m) if rng.random() < p)
+             for _ in range(n)],
+        )
+        assert_matches_next_closure(ctx)
+
+
+@pytest.mark.parametrize(
+    "objects, attributes, rows, n_concepts, top, bottom", [
+    # no objects: the one concept (∅, M)
+    (0, 3, [], 1, 0b111, 0),
+    # no attributes: the one concept (G, ∅)
+    (3, 0, [0, 0, 0], 1, 0, 0b111),
+    # every object has attribute 1, so the top intent is {1}
+    (4, 3, [0b011, 0b110, 0b010, 0b111], 4, 0b010, 0b1000),
+    # rows 0 and 2 are equal, and so are columns 0 and 2
+    (4, 4, [0b1101, 0b1010, 0b1101, 0b0010], 6, 0, 0),
+    # object 0 has every attribute, so the bottom extent is {0}
+    (3, 3, [0b111, 0b001, 0b100], 4, 0, 0b001),
+    ])
+def test_enumerate_edge_cases(objects, attributes, rows, n_concepts, top,
+                              bottom):
+    ctx = FormalContext.from_rows(
+        [f"g{i}" for i in range(objects)],
+        [f"m{j}" for j in range(attributes)],
+        rows,
+    )
+    concepts = assert_matches_next_closure(ctx)
+    assert len(concepts) == n_concepts
+    assert concepts[0] == FormalConcept(ctx.all_objects, top)
+    assert concepts[-1] == FormalConcept(bottom, ctx.all_attributes)
+
+
 def test_extreme_concepts(toy_ctx, toy_concepts):
     top, bottom = toy_concepts[0], toy_concepts[-1]
     assert top.extent == toy_ctx.all_objects
@@ -90,6 +142,18 @@ def test_concept_budget(toy_ctx):
         enumerate_concepts(toy_ctx, budget=12)
     with pytest.raises(ValueError):
         enumerate_concepts(toy_ctx, budget=0)
+
+
+def test_concept_budget_boundary():
+    ctx = coin_toss_context(CoinTossSpec(40, 12, 0.4, seed=3))
+    concepts = enumerate_concepts(ctx)
+    n = len(concepts)
+    assert n > 100
+    assert enumerate_concepts(ctx, budget=n) == concepts
+    message = f"more than {n - 1} concepts; raise the budget to continue"
+    with pytest.raises(ConceptBudgetExceeded) as info:
+        enumerate_concepts(ctx, budget=n - 1)
+    assert str(info.value) == message
 
 
 def test_brute_force_object_guard():
