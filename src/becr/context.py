@@ -12,6 +12,17 @@ of the rows through a string of binary digits, not from one |G|-bit
 update per incidence, and the parsers check each cell or distinct FIMI
 token once.
 
+A context also carries its clarified view (Ganter & Wille 1999, ch. 1),
+built once with it: the distinct rows in first-seen order, one row class
+each, and one column per attribute as a mask over those classes.  Objects
+with equal rows are in every extent together, so an extent is a union of
+row classes, and containment and equality between extents read the same
+on class masks as on object masks.  Intents, concepts and scores do not
+change, but on a table whose rows repeat (a coin-toss table of 20,000
+objects over 10 attributes at density 0.3 has 970 distinct rows) each AND,
+comparison and hash is on a mask of one bit per class instead of one per
+object.
+
 Derivation follows the usual Galois convention for the empty set: the shared
 attributes of no objects are all attributes, and the common objects of no
 attributes are all objects.
@@ -20,7 +31,7 @@ from __future__ import annotations
 
 import csv as _csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator
@@ -74,14 +85,42 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _transpose(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The m column masks of ``rows``: bit i of column j is bit j of rows[i]."""
+    if not (m and rows):  # an empty table, and int("", 2) fails
+        return (0,) * m
+    # one transpose: the table holds each row as m binary digits (bin of
+    # row | top, less "0b1"), last row first, so column j is every m-th
+    # digit from m - 1 - j
+    top = 1 << m
+    table = "".join([bin(row | top)[3:] for row in reversed(rows)])
+    return tuple(int(table[m - 1 - j::m], 2) for j in range(m))
+
+
 @dataclass(frozen=True)
 class FormalContext:
-    """Immutable binary context with both row and column incidence views."""
+    """Immutable binary context with both row and column incidence views.
+
+    ``class_rows`` and ``class_cols`` are the clarified view, derived from
+    ``rows`` when the context is built and left out of comparisons:
+    ``class_rows[c]`` is the c-th distinct row in first-seen order (row
+    class c), and ``class_cols[m]`` the mask of the classes whose row holds
+    attribute m.  An object mask A that is a union of row classes, as every
+    extent is, maps to the class mask of its objects' classes.
+    """
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
     rows: tuple[int, ...]  # rows[g] = attribute mask of object g
     cols: tuple[int, ...]  # cols[m] = object mask of attribute m
+    class_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    class_cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        distinct = tuple(dict.fromkeys(self.rows))
+        object.__setattr__(self, "class_rows", distinct)
+        object.__setattr__(
+            self, "class_cols", _transpose(distinct, len(self.attributes)))
 
     @classmethod
     def from_rows(
@@ -110,15 +149,7 @@ class FormalContext:
         for g, row in enumerate(row_masks):
             if row < 0 or row >> m:
                 raise ValueError(f"row {g} has bits outside {m} attributes")
-        if not (m and row_masks):  # an empty table, and int("", 2) fails
-            return cls(objs, attrs, row_masks, (0,) * m)
-        # one transpose: the table holds each row as m binary digits (bin of
-        # row | top, less "0b1"), last object first, so column j is every
-        # m-th digit from m - 1 - j
-        top = 1 << m
-        table = "".join([bin(row | top)[3:] for row in reversed(row_masks)])
-        cols = tuple(int(table[m - 1 - j::m], 2) for j in range(m))
-        return cls(objs, attrs, row_masks, cols)
+        return cls(objs, attrs, row_masks, _transpose(row_masks, m))
 
     # -- dimensions ---------------------------------------------------------
 
@@ -142,6 +173,10 @@ class FormalContext:
     def all_attributes(self) -> AttrSet:
         return (1 << len(self.attributes)) - 1
 
+    @property
+    def all_classes(self) -> int:
+        return (1 << len(self.class_rows)) - 1
+
     def density(self) -> Fraction:
         """|I| / (|G| * |M|) as an exact rational.
 
@@ -158,7 +193,9 @@ class FormalContext:
         if objs < 0 or objs >> len(self.objects):
             raise ValueError("object mask has bits outside this context")
 
-    def _check_attrs(self, attrs: int) -> None:
+    def check_attrs(self, attrs: int) -> None:
+        """Raise ValueError unless ``attrs`` is an attribute mask of this
+        context: non-negative, with no bit at or above |M|."""
         if attrs < 0 or attrs >> len(self.attributes):
             raise ValueError("attribute mask has bits outside this context")
 
@@ -175,7 +212,7 @@ class FormalContext:
 
     def derive_extent(self, attrs: AttrSet) -> ObjSet:
         """Objects having every attribute in ``attrs`` (all of G for ∅)."""
-        self._check_attrs(attrs)
+        self.check_attrs(attrs)
         acc = self.all_objects
         cols = self.cols
         while attrs and acc:
@@ -200,7 +237,7 @@ class FormalContext:
     # -- name helpers -------------------------------------------------------
 
     def attr_names(self, mask: AttrSet) -> list[str]:
-        self._check_attrs(mask)
+        self.check_attrs(mask)
         return [self.attributes[j] for j in iter_bits(mask)]
 
     def obj_names(self, mask: ObjSet) -> list[str]:

@@ -70,15 +70,21 @@ def enumerate_concepts(
     first, a lectic pre-order: all under the child at m hold m and agree
     with B below m, and none under a larger m holds m.
 
+    The search runs on the context's row classes (``ctx.class_cols`` and
+    ``ctx.class_rows``); a kept child takes one more AND on the object
+    columns for its extent.
+
     Raises ConceptBudgetExceeded as soon as the count would pass ``budget``.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    rows, cols, full = ctx.rows, ctx.cols, ctx.all_attributes
+    rows, cols, full = ctx.class_rows, ctx.class_cols, ctx.all_attributes
+    obj_cols = ctx.cols
     concepts = []
-    stack = [(ctx.all_objects, ctx.close_attrs(0), 0)]  # (A, B, first m)
+    # (A as classes, A as objects, B, first m)
+    stack = [(ctx.all_classes, ctx.all_objects, ctx.close_attrs(0), 0)]
     while stack:
-        extent, intent, start = stack.pop()
+        classes, extent, intent, start = stack.pop()
         if len(concepts) >= budget:
             raise ConceptBudgetExceeded(
                 f"more than {budget} concepts; raise the budget to continue"
@@ -88,14 +94,14 @@ def enumerate_concepts(
             bit = 1 << m
             if intent & bit:
                 continue
-            child = rest = extent & cols[m]
+            child = rest = classes & cols[m]
             acc, target = full, intent | bit
             while rest and acc != target:  # each row keeps acc ⊇ target
                 low = rest & -rest
                 rest ^= low
                 acc &= rows[low.bit_length() - 1]
             if (acc ^ intent) & (bit - 1) == 0:
-                stack.append((child, acc, m + 1))
+                stack.append((child, extent & obj_cols[m], acc, m + 1))
     return concepts
 
 
@@ -155,22 +161,25 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     Concepts are visited in id order, so each cover tuple comes out
     ascending.  ``concepts`` must be the complete concept set of one context,
     as ``enumerate_concepts`` returns it; the ids of the result are positions
-    in that list.  A lower neighbour that the list lacks raises ValueError.
+    in that list.  Each attribute extent m' is read off one concept, the
+    attribute concept ({m}', {m}''), so the list must hold every attribute
+    concept: without one, m' is read off a smaller extent and the covers
+    are not checked.  Any other lower neighbour that the list lacks raises
+    ValueError.
     """
     lattice = ConceptLattice(concepts, [])
     index = lattice._index
+    # m' is the extent of ({m}', {m}''): {m}'' lies in every intent that
+    # holds m, so it is the smallest of them and comes first in size order
     attributes = 0
-    for c in concepts:
-        attributes |= c.intent
-    # m' is the union of the extents whose intent holds m
     ext = {}
-    for m in iter_bits(attributes):
-        bit = 1 << m
-        m_extent = 0
-        for c in concepts:
-            if c.intent & bit:
-                m_extent |= c.extent
-        ext[bit] = m_extent
+    for c in sorted(concepts, key=lambda c: c.intent.bit_count()):
+        new = c.intent & ~attributes
+        attributes |= new
+        while new:
+            bit = new & -new
+            new ^= bit
+            ext[bit] = c.extent
     upper: list[list[int]] = [[] for _ in concepts]
     for i, c in enumerate(concepts):
         a, b = c.extent, c.intent

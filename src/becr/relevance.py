@@ -18,6 +18,11 @@ all supersets of a subset that first reaches A in one step, so it never
 lists the subsets one by one.  ``stability_dfs`` visits every one of the
 2^|B| subsets; it is the paper's full-subset baseline, which ``becr bench``
 times.  Both counts are exact.
+
+``alpha_term`` and ``stability`` keep every extent as a mask over the
+context's row classes (see ``FormalContext``), where equality and
+containment of extents read as they do on objects; ``stability_dfs`` and
+the per-attribute predicates stay on objects as references.
 """
 from __future__ import annotations
 
@@ -142,10 +147,11 @@ def alpha_term(
     concept: FormalConcept,
     rule: BaseRule = BaseRule.WORKED_EXAMPLE,
 ) -> tuple[Fraction, AttrSet, AttrSet]:
-    """(alpha, base mask, equivalent mask) for a concept.
+    """(alpha, base mask, equivalent mask) for a concept of ``ctx``.
 
     Base attributes take priority; the equivalent-attribute count is used
-    only when no base attribute exists.  An empty intent scores 0.
+    only when no base attribute exists.  An empty intent scores 0.  Raises
+    ValueError for an intent with bits outside the context.
 
     Equivalent to calling is_base_attribute per member, but tiered: the
     extent of B minus {m} either equals A (m implied by the rest) or escapes
@@ -153,12 +159,17 @@ def alpha_term(
     prefix-suffix intersection against A settles most members without any
     removal scan.  Only members failing that test take the full per-pair
     pass.
+
+    Every extent here is a union of row classes, so the work runs on the
+    class columns of ``ctx``, and A is read off B as the AND of B's columns:
+    ``concept.extent`` is not read, and the concept must be one of ``ctx``.
     """
     b = concept.intent
+    ctx.check_attrs(b)
     size = b.bit_count()
     if size == 0:
         return _ZERO, 0, 0
-    cols = ctx.cols
+    cols = ctx.class_cols
     lows = []
     exts = []
     bits = b
@@ -167,13 +178,13 @@ def alpha_term(
         bits ^= low
         lows.append(low)
         exts.append(cols[low.bit_length() - 1])
-    full = ctx.all_objects
+    full = ctx.all_classes
     suffixes = [full] * (size + 1)
     running = full
     for i in range(size - 1, 0, -1):
         running &= exts[i]
         suffixes[i] = running
-    target = concept.extent
+    target = running & exts[0]
     base = 0
     prefix = full
     for i in range(size):
@@ -194,7 +205,12 @@ def alpha_term(
         prefix &= e
     if base:
         return _frac(base.bit_count(), size), base, 0
-    equiv = equivalent_attributes(ctx, concept)
+    # as in equivalent_attributes: m' = A, and m'' = B has size > 1
+    equiv = 0
+    if size > 1:
+        for low, e in zip(lows, exts):
+            if e == target:
+                equiv |= low
     if equiv:
         return _frac(equiv.bit_count(), size), 0, equiv
     return _ZERO, 0, 0
@@ -222,7 +238,11 @@ def becr(
     concept: FormalConcept,
     rule: BaseRule = BaseRule.WORKED_EXAMPLE,
 ) -> BecrBreakdown:
-    """Full BECR breakdown: (alpha + beta) / 2 plus the witnesses."""
+    """Full BECR breakdown: (alpha + beta) / 2 plus the witnesses.
+
+    Raises ValueError, from ``alpha_term``, for an intent with bits outside
+    the context.
+    """
     alpha, base, equiv = alpha_term(ctx, concept, rule)
     generators = minimal_generators(lattice, concept)
     beta = beta_term(concept, generators)
@@ -240,9 +260,15 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
     Walks the intent's columns in order, keeping for each extent the number
     of subsets of the columns seen so far that reach it.  Every such extent
     is the extent of a concept above (A, B), so a concept costs at most
-    |B| times its number of ancestors dict updates.  Guarded to |B| <= 30.
+    |B| times its number of ancestors dict updates.  Guarded to |B| <= 30;
+    raises ValueError for an intent with bits outside the context.
+
+    The extents are kept as masks over the row classes of ``ctx``, and A is
+    read off B as the AND of B's class columns: ``concept.extent`` is not
+    read, and the concept must be one of ``ctx``.
     """
     b = concept.intent
+    ctx.check_attrs(b)
     k = b.bit_count()
     # not a cost wall: the count is polynomial, but the benchmark's recorded
     # reference expects the 32-attribute bottom concept of wide-14x32 to
@@ -252,15 +278,15 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
             f"stability caps at {MAX_STABILITY_INTENT} intent attributes; "
             f"|B| = {k} exceeds it"
         )
-    target = concept.extent
-    full = ctx.all_objects
-    if full == target:
-        return StabilityScore(1 << k, 1 << k)
-    cols = [ctx.cols[m] for m in iter_bits(b)]
+    full = ctx.all_classes
+    cols = [ctx.class_cols[m] for m in iter_bits(b)]
     # suffix[i]: the extent of the columns from i on
     suffix = [full] * (k + 1)
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] & cols[i]
+    target = suffix[0]
+    if full == target:
+        return StabilityScore(1 << k, 1 << k)
     # every state x satisfies x & suffix[i] == A: taking all later columns
     # still reaches A.  Keeping the states that fail it would not change the
     # count, but made it 2-12x slower on the benchmark's contexts.
@@ -288,9 +314,11 @@ def stability_dfs(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
 
     Depth-first over the intent attributes, sharing prefix intersections.
     The paper's full-subset baseline: ``becr bench`` times it, and tests
-    check ``stability`` against it.  Guarded to |B| <= 30.
+    check ``stability`` against it.  Guarded to |B| <= 30; raises
+    ValueError for an intent with bits outside the context.
     """
     b = concept.intent
+    ctx.check_attrs(b)
     k = b.bit_count()
     if k > MAX_STABILITY_INTENT:
         raise IntentTooLarge(

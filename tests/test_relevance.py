@@ -22,6 +22,7 @@ from becr import (
     is_base_attribute,
     iter_bits,
     minimal_generators,
+    parse_fimi,
     stability,
     stability_dfs,
     stability_oracle,
@@ -209,6 +210,46 @@ def test_full_subset_count_keeps_its_guard():
         ["g"], [f"m{j}" for j in range(31)], [(1 << 31) - 1])
     with pytest.raises(IntentTooLarge, match=r"2\^\|B\| subsets"):
         stability_dfs(ctx, enumerate_concepts(ctx)[0])
+
+
+# -- intents outside the context ---------------------------------------------
+
+# two attributes, so intent bit 2 lies outside; every scoring call checks
+# the intent before its top-extent or empty-intent shortcut
+_OUTSIDE = r"attribute mask has bits outside this context"
+
+
+def _two_attribute_context():
+    ctx = parse_fimi("1 2\n2\n")
+    return ctx, build_covers(enumerate_concepts(ctx))
+
+
+@pytest.mark.parametrize("intent", [0b100, -1])
+def test_alpha_term_rejects_an_intent_outside_the_context(intent):
+    ctx, _ = _two_attribute_context()
+    with pytest.raises(ValueError, match=_OUTSIDE):
+        alpha_term(ctx, FormalConcept(ctx.all_objects, intent))
+
+
+@pytest.mark.parametrize("intent", [0b100, -1])
+def test_becr_rejects_an_intent_outside_the_context(intent):
+    ctx, lattice = _two_attribute_context()
+    with pytest.raises(ValueError, match=_OUTSIDE):
+        becr(ctx, lattice, FormalConcept(ctx.all_objects, intent))
+
+
+@pytest.mark.parametrize("intent", [0b100, -1])
+def test_stability_rejects_an_intent_outside_the_context(intent):
+    ctx, _ = _two_attribute_context()
+    with pytest.raises(ValueError, match=_OUTSIDE):
+        stability(ctx, FormalConcept(ctx.all_objects, intent))
+
+
+@pytest.mark.parametrize("intent", [0b100, -1])
+def test_stability_dfs_rejects_an_intent_outside_the_context(intent):
+    ctx, _ = _two_attribute_context()
+    with pytest.raises(ValueError, match=_OUTSIDE):
+        stability_dfs(ctx, FormalConcept(ctx.all_objects, intent))
 
 
 # -- term edge cases ----------------------------------------------------------
