@@ -1,27 +1,28 @@
-"""Binary object-attribute contexts stored as dual bit matrices.
+"""Binary object-attribute contexts stored as bit-mask rows.
 
 A context couples a set of named objects with a set of named attributes
 through an incidence relation.  Objects and attributes are indexed in file
 order, and subsets of either side travel as plain ``int`` bitmasks: bit ``j``
 of an attribute mask stands for attribute ``j``, bit ``g`` of an object mask
-for object ``g``.  The context keeps both the row view (one attribute mask
-per object) and the column view (one object mask per attribute), so each
-derivation costs one AND per member bit of the input mask.  Building a
-context costs time linear in |G|·|M|: the columns come from one transpose
-of the rows through a string of binary digits, not from one |G|-bit
-update per incidence, and the parsers check each cell or distinct FIMI
-token once.
+for object ``g``.  A context stores its names and its rows (one attribute
+mask per object); ``FormalContext(objects, attributes, rows)`` checks them.
+Every other view is derived from the rows on first read and then kept, so
+a context that is only serialised never builds one.  The
+column view (one object mask per attribute) makes each derivation cost one
+AND per member bit of the input mask.  Building a context costs time
+linear in |G|·|M|: the columns come from one transpose of the rows through
+a string of binary digits, not from one |G|-bit update per incidence, and
+the parsers check each cell or distinct FIMI token once.
 
-A context also carries its clarified view (Ganter & Wille 1999, ch. 1),
-built once with it: the distinct rows in first-seen order, one row class
-each, and one column per attribute as a mask over those classes.  Objects
-with equal rows are in every extent together, so an extent is a union of
-row classes, and containment and equality between extents read the same
-on class masks as on object masks.  Intents, concepts and scores do not
-change, but on a table whose rows repeat (a coin-toss table of 20,000
-objects over 10 attributes at density 0.3 has 970 distinct rows) each AND,
-comparison and hash is on a mask of one bit per class instead of one per
-object.
+A context also derives its clarified view (Ganter & Wille 1999, ch. 1) on
+first read: the distinct rows in first-seen order, one row class each, and
+one column per attribute as a mask over those classes.  Objects with equal
+rows are in every extent together, so an extent is a union of row classes,
+and containment and equality between extents read the same on class masks
+as on object masks.  Intents, concepts and scores do not change, but on a
+table whose rows repeat (a coin-toss table of 20,000 objects over 10
+attributes at density 0.3 has 970 distinct rows) each AND, comparison and
+hash is on a mask of one bit per class instead of one per object.
 
 Derivation follows the usual Galois convention for the empty set: the shared
 attributes of no objects are all attributes, and the common objects of no
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 import csv as _csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -99,57 +101,72 @@ def _transpose(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FormalContext:
-    """Immutable binary context with both row and column incidence views.
+    """Immutable binary context: its names and one attribute mask per object.
 
-    ``class_rows`` and ``class_cols`` are the clarified view, derived from
-    ``rows`` when the context is built and left out of comparisons:
-    ``class_rows[c]`` is the c-th distinct row in first-seen order (row
-    class c), and ``class_cols[m]`` the mask of the classes whose row holds
-    attribute m.  An object mask A that is a union of row classes, as every
-    extent is, maps to the class mask of its objects' classes.
+    ``FormalContext(objects, attributes, rows)`` is a checked constructor:
+    it raises ValueError for a name that is not a non-empty ``str`` or that
+    repeats, for a row count other than the object count, and for a row
+    that is not an ``int`` mask over the attributes.  ``from_rows`` is the
+    same constructor for any iterables.
+
+    Every other view, the full masks included, is derived from ``rows`` on
+    first read and kept on the instance.  None is a field, so none plays a
+    part in equality, hash or repr.  ``cols[m]`` is the mask of the objects
+    that hold attribute m, and ``class_rows`` and ``class_cols`` are the
+    clarified view.  ``class_rows[c]`` is the c-th distinct row in
+    first-seen order (row class c), and ``class_cols[m]`` the mask of the
+    classes whose row holds attribute m.  An object mask A that is a union
+    of row classes, as every extent is, maps to the class mask of its
+    objects' classes.
     """
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
     rows: tuple[int, ...]  # rows[g] = attribute mask of object g
-    cols: tuple[int, ...]  # cols[m] = object mask of attribute m
-    class_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    class_cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        distinct = tuple(dict.fromkeys(self.rows))
-        object.__setattr__(self, "class_rows", distinct)
-        object.__setattr__(
-            self, "class_cols", _transpose(distinct, len(self.attributes)))
-
-    @classmethod
-    def from_rows(
-        cls,
-        objects: Iterable[str],
-        attributes: Iterable[str],
-        rows: Iterable[int],
-    ) -> "FormalContext":
-        """Build and validate a context from per-object attribute masks."""
-        objs = tuple(objects)
-        attrs = tuple(attributes)
-        row_masks = tuple(rows)
-        for kind, names in (("object", objs), ("attribute", attrs)):
+        for kind, names in (("object", self.objects),
+                            ("attribute", self.attributes)):
             seen = set()
             for name in names:
+                if not isinstance(name, str):
+                    raise ValueError(f"{kind} name {name!r} is not a str")
                 if not name:
                     raise ValueError(f"empty {kind} name")
                 if name in seen:
                     raise ValueError(f"duplicate {kind} name {name!r}")
                 seen.add(name)
-        if len(row_masks) != len(objs):
+        if len(self.rows) != len(self.objects):
             raise ValueError(
-                f"{len(objs)} object names but {len(row_masks)} rows"
+                f"{len(self.objects)} object names but {len(self.rows)} rows"
             )
-        m = len(attrs)
-        for g, row in enumerate(row_masks):
-            if row < 0 or row >> m:
-                raise ValueError(f"row {g} has bits outside {m} attributes")
-        return cls(objs, attrs, row_masks, _transpose(row_masks, m))
+        m = len(self.attributes)
+        try:
+            for g, row in enumerate(self.rows):
+                if row < 0 or row >> m:
+                    raise ValueError(f"row {g} has bits outside {m} attributes")
+        except TypeError:  # a float, a str, None: no bit operations
+            raise ValueError(f"row {g} is not an int") from None
+
+    @classmethod
+    def from_rows(cls, objects: Iterable[str], attributes: Iterable[str],
+                  rows: Iterable[int]) -> "FormalContext":
+        """Build and validate a context from per-object attribute masks."""
+        return cls(tuple(objects), tuple(attributes), tuple(rows))
+
+    # -- derived views ------------------------------------------------------
+
+    @cached_property
+    def cols(self) -> tuple[ObjSet, ...]:
+        return _transpose(self.rows, len(self.attributes))
+
+    @cached_property
+    def class_rows(self) -> tuple[int, ...]:
+        return tuple(dict.fromkeys(self.rows))
+
+    @cached_property
+    def class_cols(self) -> tuple[int, ...]:
+        return _transpose(self.class_rows, len(self.attributes))
 
     # -- dimensions ---------------------------------------------------------
 
@@ -165,15 +182,15 @@ class FormalContext:
     def n_incidences(self) -> int:
         return sum(col.bit_count() for col in self.cols)
 
-    @property
+    @cached_property
     def all_objects(self) -> ObjSet:
         return (1 << len(self.objects)) - 1
 
-    @property
+    @cached_property
     def all_attributes(self) -> AttrSet:
         return (1 << len(self.attributes)) - 1
 
-    @property
+    @cached_property
     def all_classes(self) -> int:
         return (1 << len(self.class_rows)) - 1
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import csv as _csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .context import AttrSet, FormalContext, ObjSet, iter_bits
 
@@ -136,12 +137,12 @@ class ConceptLattice:
 
     concepts: list[FormalConcept]
     upper_covers: list[tuple[int, ...]]
-    # keyed by intent: it determines the concept, and intent masks are far
-    # smaller than extents on object-heavy contexts
-    _index: dict[int, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._index = {c.intent: i for i, c in enumerate(self.concepts)}
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        # keyed by intent: it determines the concept, and intent masks are far
+        # smaller than extents on object-heavy contexts
+        return {c.intent: i for i, c in enumerate(self.concepts)}
 
     def __len__(self) -> int:
         return len(self.concepts)

@@ -57,8 +57,12 @@ def test_class_rows_and_columns_of_a_hand_written_context():
     # m0 is in classes 0 and 3, m1 in 0 and 1, m2 in 1 and 3
     assert ctx.class_cols == (0b1001, 0b0011, 0b1010)
     assert ctx.all_classes == 0b1111
-    # the view is derived, so it plays no part in equality
-    assert ctx == make_context(6, 3, ctx.rows)
+    # the views are derived, so they play no part in equality or hash,
+    # whether or not they have been read
+    fresh = make_context(6, 3, ctx.rows)
+    assert "class_cols" in vars(ctx) and "class_cols" not in vars(fresh)
+    assert ctx.cols and "cols" not in vars(fresh)
+    assert ctx == fresh and hash(ctx) == hash(fresh)
     assert_stages_match_oracles(ctx)
 
 

@@ -1,4 +1,5 @@
 """Context parsing, serialization, and derivation laws."""
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -271,19 +272,35 @@ def test_parsers_raise_only_parse_errors(parse, text):
 
 # -- construction -------------------------------------------------------------
 
+# (objects, attributes, rows, what the ValueError says) for each malformed input
+MALFORMED = [
+    (["g", "g"], ["m"], [0, 0], "duplicate object"),
+    (["g"], ["m", "m"], [0], "duplicate attribute"),
+    (["g"], [""], [0], "empty attribute name"),
+    (["g1", "g2"], ["m"], [0], "rows"),
+    (["g"], ["m"], [0b10], "outside"),
+    (["g"], ["m"], [-1], "outside"),
+    ([1, 2], ["m"], [0, 1], "object name 1 is not a str"),
+    (["g"], [None], [0], "attribute name None is not a str"),
+    (["g"], ["m"], [1.0], "row 0 is not an int"),
+    (["g", "h"], [], [0, "0"], "row 1 is not an int"),
+]
+
+
 def test_from_rows_validation():
-    with pytest.raises(ValueError, match="duplicate object"):
-        FormalContext.from_rows(["g", "g"], ["m"], [0, 0])
-    with pytest.raises(ValueError, match="duplicate attribute"):
-        FormalContext.from_rows(["g"], ["m", "m"], [0])
-    with pytest.raises(ValueError, match="empty attribute name"):
-        FormalContext.from_rows(["g"], [""], [0])
-    with pytest.raises(ValueError, match="rows"):
-        FormalContext.from_rows(["g1", "g2"], ["m"], [0])
-    with pytest.raises(ValueError, match="outside"):
-        FormalContext.from_rows(["g"], ["m"], [0b10])
-    with pytest.raises(ValueError, match="outside"):
-        FormalContext.from_rows(["g"], ["m"], [-1])
+    # the raw constructor on tuples and from_rows on lists are one check
+    for build in (lambda *args: FormalContext(*map(tuple, args)),
+                  FormalContext.from_rows):
+        for objects, attributes, rows, message in MALFORMED:
+            with pytest.raises(ValueError, match=message):
+                build(objects, attributes, rows)
+
+
+def test_a_context_stores_only_its_rows():
+    assert [f.name for f in fields(FormalContext)] == [
+        "objects", "attributes", "rows"]
+    with pytest.raises(TypeError):  # the columns are derived, not passed
+        FormalContext(("g",), ("m",), (1,), (0,))
 
 
 @given(st.integers(0, 9), st.integers(0, 140), st.data())
