@@ -215,8 +215,8 @@ def emit_csv(report: ComparisonReport, include_timing: bool = True) -> str:
 
 
 def emit_scatter(report: ComparisonReport) -> str:
-    """Two-column becr,stability CSV with exactly one line per concept."""
-    return "".join(
-        f"{format_score(r.becr)},{format_score(r.stability)}\n"
-        for r in report.rows
-    )
+    """Two-column becr,stability CSV with exactly one line per concept.
+
+    ``emit_table``'s becr and stability columns without the header line.
+    """
+    return emit_table(report.rows, ("becr", "stability")).partition("\n")[2]

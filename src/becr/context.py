@@ -104,10 +104,11 @@ class FormalContext:
     """Immutable binary context: its names and one attribute mask per object.
 
     ``FormalContext(objects, attributes, rows)`` is a checked constructor:
-    it raises ValueError for a name that is not a non-empty ``str`` or that
-    repeats, for a row count other than the object count, and for a row
-    that is not an ``int`` mask over the attributes.  ``from_rows`` is the
-    same constructor for any iterables.
+    it raises ValueError for a field that is not a ``tuple``, for a name
+    that is not a non-empty ``str`` or that repeats, for a row count other
+    than the object count, and for a row that is not an ``int`` mask over
+    the attributes.  ``from_rows`` is the same constructor for any
+    iterables.
 
     Every other view, the full masks included, is derived from ``rows`` on
     first read and kept on the instance.  None is a field, so none plays a
@@ -125,6 +126,11 @@ class FormalContext:
     rows: tuple[int, ...]  # rows[g] = attribute mask of object g
 
     def __post_init__(self):
+        # a list field would leave the context unhashable, and its derived
+        # views stale once the list changed
+        for name in ("objects", "attributes", "rows"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"{name} must be a tuple; use from_rows")
         for kind, names in (("object", self.objects),
                             ("attribute", self.attributes)):
             seen = set()

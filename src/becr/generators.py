@@ -35,7 +35,8 @@ def minimal_generators(
 
     Berge's transversal step (Berge 1989), one face at a time.  Candidates
     that meet the new face survive; each one that misses it is extended by
-    every attribute ``a`` of the face.  Candidates form an antichain, so no
+    every attribute ``a`` of the face, so a face that every candidate meets
+    leaves the family as it was.  Candidates form an antichain, so no
     extension lies inside a survivor and no two extensions coincide or
     contain each other: ``cand | a`` is non-minimal exactly when it contains
     a survivor that meets the face in ``a`` alone, and that is the only test
@@ -81,8 +82,6 @@ def minimal_generators(
             kept.append(cand)
             if meet & (meet - 1) == 0:
                 blockers.setdefault(meet, []).append(cand)
-        if not missed:
-            continue
         for cand in missed:
             rest = face
             while rest:

@@ -42,7 +42,6 @@ from .lattice import ConceptLattice, FormalConcept
 MAX_STABILITY_INTENT = 30
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # scores repeat heavily across concepts, so the (numerator, denominator) ->
 # Fraction construction is memoized.  Without it, mean BECR / stability time
@@ -54,7 +53,12 @@ _ONE = Fraction(1)
 # made by scoring the 793x10, 1000x16 and 14x32 contexts), and up to 40 make
 # 3,932, so the bound evicts nothing until an intent passes 40 attributes;
 # past that it stops a process that scores many wide contexts from growing
-# the cache without limit.
+# the cache without limit.  It also gives every reader of alpha, beta and
+# becr one shared Fraction, not one built per read: a BecrBreakdown that
+# held integer numerators behind Fraction properties cut criterion 7's
+# 793x10 ratio from 0.76 to 0.66, but its pipeline_s read 1.11x on the
+# benchmark's lattice-1000x16 and 1.07x on objects-20000x10 (slower in 4/4
+# pairs each), where each score is read more than once.
 _FRAC_CACHE_SIZE = 4096
 _frac = lru_cache(maxsize=_FRAC_CACHE_SIZE)(Fraction)
 
@@ -150,8 +154,9 @@ def alpha_term(
     """(alpha, base mask, equivalent mask) for a concept of ``ctx``.
 
     Base attributes take priority; the equivalent-attribute count is used
-    only when no base attribute exists.  An empty intent scores 0.  Raises
-    ValueError for an intent with bits outside the context.
+    only when no base attribute exists.  An empty intent has neither and
+    scores 0 through the same steps: its A is the AND of no columns, all
+    classes.  Raises ValueError for an intent with bits outside the context.
 
     Equivalent to calling is_base_attribute per member, but tiered: the
     extent of B minus {m} either equals A (m implied by the rest) or escapes
@@ -167,8 +172,6 @@ def alpha_term(
     b = concept.intent
     ctx.check_attrs(b)
     size = b.bit_count()
-    if size == 0:
-        return _ZERO, 0, 0
     cols = ctx.class_cols
     lows = []
     exts = []
@@ -181,10 +184,10 @@ def alpha_term(
     full = ctx.all_classes
     suffixes = [full] * (size + 1)
     running = full
-    for i in range(size - 1, 0, -1):
+    for i in range(size - 1, -1, -1):
         running &= exts[i]
         suffixes[i] = running
-    target = running & exts[0]
+    target = running
     base = 0
     prefix = full
     for i in range(size):
@@ -219,14 +222,15 @@ def alpha_term(
 def beta_term(concept: FormalConcept, generators: list[AttrSet]) -> Fraction:
     """Minimal-generator term of BECR.
 
-    min(|H| / |B|, 1) when several generators exist; 1 / |B| for a single
-    generator smaller than B; 0 when B is its own only generator (which
-    covers the empty intent, whose sole generator is the empty set).
+    min(|H| / |B|, 1) when several generators exist, one exact fraction
+    whether or not the cap applies; 1 / |B| for a single generator smaller
+    than B; 0 when B is its own only generator (which covers the empty
+    intent, whose sole generator is the empty set).
     """
     size = concept.intent.bit_count()
     count = len(generators)
     if count > 1:
-        return _ONE if count >= size else _frac(count, size)
+        return _frac(min(count, size), size)
     if count == 1 and generators[0] != concept.intent:
         return _frac(1, size)
     return _ZERO
@@ -266,6 +270,11 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
     The extents are kept as masks over the row classes of ``ctx``, and A is
     read off B as the AND of B's class columns: ``concept.extent`` is not
     read, and the concept must be one of ``ctx``.
+
+    The top concept, whose A is all classes, takes the same walk.  A subset
+    that takes a column and reaches A is a hit, so the only state that can
+    equal A is the empty subset's, and only when A is all classes: the top
+    concept ends with 2^|B| - 1 hits and that state of weight 1.
     """
     b = concept.intent
     ctx.check_attrs(b)
@@ -285,8 +294,6 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] & cols[i]
     target = suffix[0]
-    if full == target:
-        return StabilityScore(1 << k, 1 << k)
     # every state x satisfies x & suffix[i] == A: taking all later columns
     # still reaches A.  Keeping the states that fail it would not change the
     # count, but made it 2-12x slower on the benchmark's contexts.
@@ -306,7 +313,7 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
             else:
                 after[y] = after.get(y, 0) + weight
         states = after
-    return StabilityScore(hits, 1 << k)
+    return StabilityScore(hits + states.get(target, 0), 1 << k)
 
 
 def stability_dfs(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from numbers import Real
 
 from .context import FormalContext
 
@@ -22,12 +23,17 @@ class CoinTossSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n_objects < 1:
-            raise ValueError("n_objects must be at least 1")
-        if self.n_attributes < 1:
-            raise ValueError("n_attributes must be at least 1")
-        if not 0.0 <= self.density <= 1.0:
-            raise ValueError("density must lie in [0, 1]")
+        # a float count would fail later in range(), and a str density in
+        # the comparison; seed=None seeds from OS entropy, so the context
+        # would no longer follow from (spec, seed)
+        for name in ("n_objects", "n_attributes"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int of at least 1")
+        if not (isinstance(self.density, Real) and 0 <= self.density <= 1):
+            raise ValueError("density must be a real number in [0, 1]")
+        if not isinstance(self.seed, int):
+            raise ValueError("seed must be an int")
 
 
 def coin_toss_context(spec: CoinTossSpec) -> FormalContext:

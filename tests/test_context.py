@@ -294,6 +294,14 @@ def test_from_rows_validation():
         for objects, attributes, rows, message in MALFORMED:
             with pytest.raises(ValueError, match=message):
                 build(objects, attributes, rows)
+    # the raw constructor takes tuples only: a list would make the context
+    # unhashable, and its derived views stale once the list changed
+    for args, field_name in (((["g"], ["m"], [1]), "objects"),
+                             ((("g",), ["m"], (1,)), "attributes"),
+                             ((("g",), ("m",), [1]), "rows")):
+        with pytest.raises(ValueError,
+                           match=f"^{field_name} must be a tuple.*from_rows"):
+            FormalContext(*args)
 
 
 def test_a_context_stores_only_its_rows():

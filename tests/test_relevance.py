@@ -15,6 +15,8 @@ from becr import (
     alpha_term,
     becr,
     beta_term,
+    brute_force_concepts,
+    brute_force_minimal_generators,
     build_covers,
     coin_toss_context,
     enumerate_concepts,
@@ -23,10 +25,12 @@ from becr import (
     iter_bits,
     minimal_generators,
     parse_fimi,
+    serialize_cxt,
     stability,
     stability_dfs,
     stability_oracle,
 )
+from becr.cli import EXIT_OK, main
 from helpers import random_context
 
 F = Fraction
@@ -215,7 +219,7 @@ def test_full_subset_count_keeps_its_guard():
 # -- intents outside the context ---------------------------------------------
 
 # two attributes, so intent bit 2 lies outside; every scoring call checks
-# the intent before its top-extent or empty-intent shortcut
+# the intent before it reads a column
 _OUTSIDE = r"attribute mask has bits outside this context"
 
 
@@ -303,3 +307,81 @@ def test_repeated_calls_agree(toy_ctx, toy_lattice):
     concept = toy_lattice.concepts[3]
     assert becr(toy_ctx, toy_lattice, concept) == \
         becr(toy_ctx, toy_lattice, concept)
+
+
+# -- the whole table against the oracles --------------------------------------
+
+def _nominal_context(rng: random.Random, n: int = 14) -> FormalContext:
+    """A nominally scaled table whose columns follow one latent class z.
+
+    colour and size are bijections of z, so each colour value column
+    coincides with a size value column; shape follows z with noise.
+    """
+    features = {
+        "colour": lambda z: z,
+        "size": lambda z: (z + 1) % 3,
+        "shape": lambda z: z if rng.random() < 0.7 else rng.randrange(3),
+    }
+    names = [f"{f}={v}" for f in features for v in range(3)]
+    rows = []
+    for _ in range(n):
+        z = rng.randrange(3)
+        rows.append(sum(1 << names.index(f"{f}={value(z)}")
+                        for f, value in features.items()))
+    return FormalContext.from_rows([f"g{i}" for i in range(n)], names, rows)
+
+
+def _oracle_table(ctx: FormalContext, rule: BaseRule) -> tuple[str, list]:
+    """The `relevance --index both` table built from the oracles alone,
+    with the (intent size, n_mingen, n_equiv) of each concept, top first."""
+    rows = []
+    for i, concept in enumerate(brute_force_concepts(ctx)):
+        size = concept.intent.bit_count()
+        base = sum(1 for m in iter_bits(concept.intent)
+                   if is_base_attribute(ctx, concept, m, rule))
+        equiv = 0 if base else equivalent_attributes(ctx, concept).bit_count()
+        alpha = F(base or equiv, size) if base or equiv else F(0)
+        generators = brute_force_minimal_generators(ctx, concept)
+        beta = beta_term(concept, generators)
+        rows.append((i, concept.extent.bit_count(), size, alpha, beta,
+                     (alpha + beta) / 2,
+                     stability_oracle(ctx, concept).value,
+                     len(generators), base, equiv))
+    shapes = [(r[2], r[7], r[9]) for r in rows]
+    rows.sort(key=lambda r: r[5], reverse=True)  # stable: ties in id order
+    lines = ["concept_id,extent_size,intent_size,alpha,beta,becr,stability,"
+             "n_mingen,n_base,n_equiv"]
+    for r in rows:
+        lines.append(",".join([*map(str, r[:3]),
+                               *(f"{float(v):.6f}" for v in r[3:7]),
+                               *map(str, r[7:])]))
+    return "\n".join(lines) + "\n", shapes
+
+
+def test_relevance_table_matches_the_oracles(tmp_path, capsys):
+    rng = random.Random(1616)
+    contexts = [random_context(rng) for _ in range(30)]
+    contexts.append(_nominal_context(rng))
+    # a universal attribute: the top concept's intent is {m1}
+    contexts.append(FormalContext.from_rows(
+        ["g1", "g2", "g3"], ["m1", "m2", "m3"], [0b011, 0b101, 0b111]))
+    # no attribute shared by all objects: the top intent is empty
+    contexts.append(FormalContext.from_rows(
+        ["g1", "g2", "g3"], ["m1", "m2"], [0b01, 0b10, 0b11]))
+    path = tmp_path / "ctx.cxt"
+    top_sizes, capped, equivalent = set(), False, False
+    for ctx in contexts:
+        path.write_text(serialize_cxt(ctx), encoding="utf-8")
+        for rule in BaseRule:
+            expected, shapes = _oracle_table(ctx, rule)
+            assert main(["relevance", str(path), "--index", "both",
+                         "--base-rule", rule.value]) == EXIT_OK
+            assert capsys.readouterr().out == expected
+            top_sizes.add(shapes[0][0])
+            capped |= any(n > max(size, 1) for size, n, _ in shapes)
+            equivalent |= any(n_equiv for _, _, n_equiv in shapes)
+    # every case the scoring runs through its general path is reached: an
+    # empty intent, a top concept with a non-empty intent, a capped beta
+    # and equivalent attributes
+    assert 0 in top_sizes and max(top_sizes) >= 1
+    assert capped and equivalent

@@ -45,3 +45,13 @@ def test_spec_validation():
         CoinTossSpec(3, 3, -0.1, 0)
     with pytest.raises(ValueError, match="density"):
         CoinTossSpec(3, 3, 1.1, 0)
+    # wrong types fail here, not later in coin_toss_context, and seed=None
+    # would seed from OS entropy
+    for args, name in (((2.5, 3, 0.5, 1), "n_objects"),
+                       ((2, 3.0, 0.5, 1), "n_attributes"),
+                       ((2, 3, "0.5", 1), "density"),
+                       ((2, 3, None, 1), "density"),
+                       ((2, 3, 0.5, None), "seed"),
+                       ((2, 3, 0.5, 1.0), "seed")):
+        with pytest.raises(ValueError, match=name):
+            CoinTossSpec(*args)
