@@ -13,6 +13,7 @@ concepts, or an index constant across all concepts).
 """
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, fields
@@ -90,11 +91,14 @@ class ComparisonReport:
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation coefficient, clamped to [-1, 1].
 
-    Raises LengthMismatch on unequal lengths and ZeroVariance when the
-    coefficient is undefined (a constant input, or fewer than two points).
+    Raises LengthMismatch on unequal lengths, ValueError when either list
+    holds NaN or an infinity, and ZeroVariance when the coefficient is
+    undefined (a constant input, or fewer than two points).
     """
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} xs vs {len(ys)} ys")
+    if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
+        raise ValueError("pearson input is not finite: it holds NaN or inf")
     try:
         r = statistics.correlation(xs, ys)
     except statistics.StatisticsError as err:

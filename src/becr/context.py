@@ -89,14 +89,12 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def _transpose(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
     """The m column masks of ``rows``: bit i of column j is bit j of rows[i]."""
-    if not (m and rows):  # an empty table, and int("", 2) fails
-        return (0,) * m
     # one transpose: the table holds each row as m binary digits (bin of
     # row | top, less "0b1"), last row first, so column j is every m-th
-    # digit from m - 1 - j
+    # digit from m - 1 - j; the leading "0" reads an empty table as 0
     top = 1 << m
     table = "".join([bin(row | top)[3:] for row in reversed(rows)])
-    return tuple(int(table[m - 1 - j::m], 2) for j in range(m))
+    return tuple(int("0" + table[m - 1 - j::m], 2) for j in range(m))
 
 
 @dataclass(frozen=True)

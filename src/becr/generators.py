@@ -9,23 +9,13 @@ face at a time, keeping every candidate minimal as it goes.
 from __future__ import annotations
 
 from .context import AttrSet, FormalContext, iter_bits
-from .lattice import ConceptLattice, FormalConcept
+from .lattice import ConceptLattice, FormalConcept, lectic_key
 
 BRUTE_FORCE_MAX_INTENT = 20
 
 
 class IntentTooLarge(ValueError):
     """Intent exceeds an exponential-work guard."""
-
-
-def _generator_sort_key(mask: int) -> tuple[int, list[int]]:
-    # (size, low bits ascending); single-bit values order like bit indexes
-    bits = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        bits.append(low)
-    return (len(bits), bits)
 
 
 def minimal_generators(
@@ -40,9 +30,9 @@ def minimal_generators(
     extension lies inside a survivor and no two extensions coincide or
     contain each other: ``cand | a`` is non-minimal exactly when it contains
     a survivor that meets the face in ``a`` alone, and that is the only test
-    made.  Returns masks sorted by (size, attribute order).  A concept
-    without upper covers (the supremum) has the empty set as its only
-    generator.
+    made.  Returns masks sorted by size, then in descending lectic order
+    (``lectic_key``): within one size, members ascending.  A concept without
+    upper covers (the supremum) has the empty set as its only generator.
 
     The step starts from ``forced``, the union of the one-attribute faces:
     each face {a} must be hit, so ``a`` is in every generator, and every
@@ -95,7 +85,8 @@ def minimal_generators(
                     kept.append(ext)
         h = kept
     if len(h) > 1:
-        h.sort(key=_generator_sort_key)
+        width = b.bit_length()
+        h.sort(key=lambda g: (g.bit_count(), -lectic_key(g, width)))
     return h
 
 
@@ -125,4 +116,5 @@ def brute_force_minimal_generators(
         h for h in gens
         if not any(h & ~(1 << m) in gens for m in iter_bits(h))
     ]
-    return sorted(minimal, key=_generator_sort_key)
+    width = b.bit_length()
+    return sorted(minimal, key=lambda g: (g.bit_count(), -lectic_key(g, width)))

@@ -27,7 +27,7 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 
-from .context import AttrSet, FormalContext, ObjSet, iter_bits
+from .context import AttrSet, FormalContext, ObjSet
 
 DEFAULT_CONCEPT_BUDGET = 1_000_000
 BRUTE_FORCE_MAX_OBJECTS = 20
@@ -50,13 +50,17 @@ class FormalConcept:
 def lectic_key(intent: AttrSet, width: int) -> int:
     """Sort key realizing lectic order: smallest differing attribute wins.
 
-    Reversing the bit significance makes integer comparison agree with the
-    set order A < B iff min(A xor B) lies in B.
+    The key is the mask's bit string read attribute 0 first, so integer
+    comparison agrees with the set order A < B iff min(A xor B) lies in B.
+    It is the package's one attribute-set order: concept ids ascend in it,
+    and a minimal-generator family is sorted by size, then in descending
+    lectic order.
+
+    Raises ValueError for a negative intent or a bit at or above ``width``.
     """
-    key = 0
-    for j in iter_bits(intent):
-        key |= 1 << (width - 1 - j)
-    return key
+    if intent < 0 or intent >> width:
+        raise ValueError(f"intent {intent} is not a subset of {width} attributes")
+    return int(bin(intent)[:1:-1].ljust(width, "0"), 2)
 
 
 def enumerate_concepts(
@@ -166,7 +170,9 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     attribute concept ({m}', {m}''), so the list must hold every attribute
     concept: without one, m' is read off a smaller extent and the covers
     are not checked.  Any other lower neighbour that the list lacks raises
-    ValueError.
+    ValueError, as does more than one concept without an upper cover: the
+    top is missing, or a concept is listed twice, whose first copy gets no
+    covers because the intent index finds the last.
     """
     lattice = ConceptLattice(concepts, [])
     index = lattice._index
@@ -211,6 +217,8 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
                     f"concept {i} has a lower neighbour missing from the list"
                 )
             upper[j].append(i)
+    if upper.count([]) > 1:
+        raise ValueError("more than one concept has no upper cover")
     lattice.upper_covers = [tuple(u) for u in upper]
     return lattice
 

@@ -1,4 +1,5 @@
 """Comparison harness: correlation, aggregation, timing, CSV emission."""
+import math
 import random
 import statistics
 from collections import Counter
@@ -43,6 +44,14 @@ def test_pearson_undefined_inputs():
         pearson([1.0], [2.0])
     with pytest.raises(LengthMismatch):
         pearson([1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pearson_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        pearson([1.0, bad, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="not finite"):
+        pearson([1.0, 2.0, 3.0], [1.0, bad, 2.0])
 
 
 def test_pearson_affine_invariance_and_symmetry():

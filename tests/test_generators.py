@@ -120,8 +120,11 @@ def test_face_order_changes_no_generator_family():
 ], ids=["lattice-1000x16", "wide-14x32"])
 def test_family_counts_on_benchmark_contexts(spec, total, largest):
     lattice = build_covers(enumerate_concepts(coin_toss_context(spec)))
-    sizes = [len(minimal_generators(lattice, c)) for c in lattice.concepts]
+    families = [minimal_generators(lattice, c) for c in lattice.concepts]
+    sizes = [len(family) for family in families]
     assert (sum(sizes), max(sizes)) == (total, largest)
+    for family in families:
+        assert family == sorted(family, key=generator_key)
 
 
 def test_powerset_oracle_intent_guard():

@@ -62,6 +62,17 @@ def test_lectic_key_orders_sets():
     order = [0b000, 0b100, 0b010, 0b110, 0b001, 0b101, 0b011, 0b111]
     keys = [lectic_key(s, 3) for s in order]
     assert keys == sorted(keys) == list(range(8))
+    assert lectic_key(0, 0) == 0
+    rng = random.Random(60)
+    for _ in range(200):
+        width = rng.randint(0, 70)
+        mask = rng.getrandbits(width)
+        members = [j for j in range(width) if mask >> j & 1]
+        assert lectic_key(mask, width) == sum(
+            1 << (width - 1 - j) for j in members)
+    for intent, width in ((-1, 3), (-8, 3), (0b1000, 3), (1, 0)):
+        with pytest.raises(ValueError, match="not a subset"):
+            lectic_key(intent, width)
 
 
 def test_enumeration_order_is_lectic(toy_ctx, toy_concepts, davis_ctx,
@@ -235,6 +246,12 @@ def test_covers_need_the_complete_concept_set(toy_ctx, toy_concepts):
             build_covers(toy_concepts[:i] + toy_concepts[i + 1:])
         dropped += 1
     assert dropped == 7
+    # a list without the top, and a concept listed twice (the top, or one
+    # below it): each leaves a second concept with no upper cover
+    for concepts in (toy_concepts[1:], toy_concepts + toy_concepts[:1],
+                     toy_concepts + toy_concepts[5:6]):
+        with pytest.raises(ValueError, match="no upper cover"):
+            build_covers(concepts)
 
 
 def test_single_concept_lattice():
