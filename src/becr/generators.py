@@ -36,14 +36,16 @@ def minimal_generators(
 
     The step starts from ``forced``, the union of the one-attribute faces:
     each face {a} must be hit, so ``a`` is in every generator, and every
-    face that meets ``forced`` is skipped.  A concept has one generator
-    exactly when ``forced`` meets all its faces, and then no step runs (833
-    of the 848 concepts of coin-toss 793x10).  The other faces are taken
-    smallest first, ties in cover order.  The result does not depend on that
-    order, the work does: small faces first keep the families, and so the
-    blocker lists, small.  The bottom concept of coin-toss 14x32 (p=0.6,
-    seed 42) has 4,005 generators; they take 245k blocker scans in this
-    order and 874k in cover id order.
+    face that meets ``forced`` is skipped.  ``forced`` is all of ∩H, the
+    members every generator holds: m is in each one exactly when B minus
+    {m} is no generator, that is, when it is closed and {m} is a face.  A
+    concept has one generator exactly when ``forced`` meets all its faces,
+    and then no step runs (833 of the 848 concepts of coin-toss 793x10).
+    The other faces are taken smallest first, ties in cover order.  The
+    result does not depend on that order, the work does: small faces first
+    keep the families, and so the blocker lists, small.  The bottom
+    concept of coin-toss 14x32 (p=0.6, seed 42) has 4,005 generators; they
+    take 245k blocker scans in this order and 874k in cover id order.
     """
     b = concept.intent
     concepts = lattice.concepts

@@ -170,9 +170,10 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     attribute concept ({m}', {m}''), so the list must hold every attribute
     concept: without one, m' is read off a smaller extent and the covers
     are not checked.  Any other lower neighbour that the list lacks raises
-    ValueError, as does more than one concept without an upper cover: the
-    top is missing, or a concept is listed twice, whose first copy gets no
-    covers because the intent index finds the last.
+    ValueError, as does a list without exactly one concept that has no
+    upper cover: the list is empty, the top is missing, or a concept is
+    listed twice, whose first copy gets no covers because the intent index
+    finds the last.
     """
     lattice = ConceptLattice(concepts, [])
     index = lattice._index
@@ -217,8 +218,10 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
                     f"concept {i} has a lower neighbour missing from the list"
                 )
             upper[j].append(i)
-    if upper.count([]) > 1:
-        raise ValueError("more than one concept has no upper cover")
+    tops = upper.count([])
+    if tops != 1:
+        raise ValueError(f"{tops} concepts have no upper cover; the top "
+                         "alone must have none")
     lattice.upper_covers = [tuple(u) for u in upper]
     return lattice
 

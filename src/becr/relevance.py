@@ -3,12 +3,14 @@
 All scores are carried as exact ``fractions.Fraction`` values; callers
 convert to float at output boundaries only.
 
-BECR of a concept (A, B) is the mean of two terms.  The alpha term counts
-base attributes of B (attributes whose removal, together with their removal
-set, changes the closure) or, when there are none, attributes equivalent on
-the concept (m' = A with a non-singleton closure).  The beta term rates the
-minimal-generator family H of B: several generators score min(|H| / |B|, 1),
-a single proper generator scores 1 / |B|, and H = {B} scores 0.
+BECR of a concept (A, B) is the mean of two terms, both read off the
+minimal-generator family H of B, which ``becr`` computes once.  The alpha
+term counts base attributes of B (attributes whose removal, together with
+their removal set, changes the closure) or, when there are none, attributes
+equivalent on the concept (m' = A with a non-singleton closure).  Every
+member of ∩H is base, so only the other members are tested.  The beta term
+rates H itself: several generators score min(|H| / |B|, 1), a single proper
+generator scores 1 / |B|, and H = {B} scores 0.
 
 Stability is the fraction of intent subsets whose extent equals A.  The
 subsets that qualify are closed upwards in B (e ⊆ f ⊆ B and e' = A give
@@ -149,21 +151,23 @@ def equivalent_attributes(ctx: FormalContext, concept: FormalConcept) -> AttrSet
 def alpha_term(
     ctx: FormalContext,
     concept: FormalConcept,
+    generators: list[AttrSet],
     rule: BaseRule = BaseRule.WORKED_EXAMPLE,
 ) -> tuple[Fraction, AttrSet, AttrSet]:
     """(alpha, base mask, equivalent mask) for a concept of ``ctx``.
 
-    Base attributes take priority; the equivalent-attribute count is used
-    only when no base attribute exists.  An empty intent has neither and
-    scores 0 through the same steps: its A is the AND of no columns, all
-    classes.  Raises ValueError for an intent with bits outside the context.
+    ``generators`` is the concept's minimal-generator family H, as from
+    ``minimal_generators``.  Base attributes take priority; the
+    equivalent-attribute count is used only when no base attribute exists.
+    An empty intent has neither and scores 0 through the same steps: its A
+    is the AND of no columns, all classes.  Raises ValueError for an intent
+    with bits outside the context.
 
-    Equivalent to calling is_base_attribute per member, but tiered: the
-    extent of B minus {m} either equals A (m implied by the rest) or escapes
-    m', and dropping more attributes with m can only help, so comparing one
-    prefix-suffix intersection against A settles most members without any
-    removal scan.  Only members failing that test take the full per-pair
-    pass.
+    Equivalent to calling is_base_attribute per member.  A member m that
+    every minimal generator holds is base: B minus {m} is then no
+    generator, so its extent is larger than A and escapes m', and dropping
+    more attributes with m only grows it.  The base mask starts as the AND
+    of H, and only the other members take the per-pair removal-set pass.
 
     Every extent here is a union of row classes, so the work runs on the
     class columns of ``ctx``, and A is read off B as the AND of B's columns:
@@ -175,37 +179,32 @@ def alpha_term(
     cols = ctx.class_cols
     lows = []
     exts = []
+    target = full = ctx.all_classes
     bits = b
     while bits:
         low = bits & -bits
         bits ^= low
+        e = cols[low.bit_length() - 1]
         lows.append(low)
-        exts.append(cols[low.bit_length() - 1])
-    full = ctx.all_classes
-    suffixes = [full] * (size + 1)
-    running = full
-    for i in range(size - 1, -1, -1):
-        running &= exts[i]
-        suffixes[i] = running
-    target = running
-    base = 0
-    prefix = full
-    for i in range(size):
-        e = exts[i]
-        if prefix & suffixes[i + 1] != target:
-            base |= lows[i]
-        elif not (rule is BaseRule.WORKED_EXAMPLE and exts.count(e) > 1):
-            # m is base when the extent of B minus its removal set escapes
-            # m'; under the strict rule an equal-extent partner stays in
-            # that rest, which then lies inside m'
-            outside = ~e
-            rest = full
-            for ej in exts:
-                if ej & outside:
-                    rest &= ej
-            if rest & outside:
-                base |= lows[i]
-        prefix &= e
+        exts.append(e)
+        target &= e
+    base = b
+    for g in generators:
+        base &= g
+    for low, e in zip(lows, exts):
+        if low & base or (rule is BaseRule.WORKED_EXAMPLE
+                          and exts.count(e) > 1):
+            continue
+        # m is base when the extent of B minus its removal set escapes m';
+        # under the strict rule an equal-extent partner stays in that rest,
+        # which then lies inside m', so such an m was skipped above
+        outside = ~e
+        rest = full
+        for ej in exts:
+            if ej & outside:
+                rest &= ej
+        if rest & outside:
+            base |= low
     if base:
         return _frac(base.bit_count(), size), base, 0
     # as in equivalent_attributes: m' = A, and m'' = B has size > 1
@@ -244,11 +243,13 @@ def becr(
 ) -> BecrBreakdown:
     """Full BECR breakdown: (alpha + beta) / 2 plus the witnesses.
 
-    Raises ValueError, from ``alpha_term``, for an intent with bits outside
-    the context.
+    The minimal-generator family is computed once and read by both terms.
+    Raises ValueError for an intent with bits outside the context, before
+    the lattice is searched for the concept.
     """
-    alpha, base, equiv = alpha_term(ctx, concept, rule)
+    ctx.check_attrs(concept.intent)
     generators = minimal_generators(lattice, concept)
+    alpha, base, equiv = alpha_term(ctx, concept, generators, rule)
     beta = beta_term(concept, generators)
     # (alpha + beta) / 2 spelled as one normalization instead of two
     value = _frac(

@@ -14,11 +14,13 @@ from becr import (
     FormalContext,
     alpha_term,
     brute_force_concepts,
+    build_covers,
     coin_toss_context,
     enumerate_concepts,
     equivalent_attributes,
     is_base_attribute,
     iter_bits,
+    minimal_generators,
     serialize_cxt,
     stability,
     stability_dfs,
@@ -38,9 +40,11 @@ def assert_stages_match_oracles(ctx: FormalContext) -> None:
     assert concepts == next_closure_oracle(ctx)
     if ctx.n_objects <= 20:
         assert concepts == brute_force_concepts(ctx)
+    lattice = build_covers(concepts)
     for concept in concepts:
+        gens = minimal_generators(lattice, concept)
         for rule in BaseRule:
-            _, base, equiv = alpha_term(ctx, concept, rule)
+            _, base, equiv = alpha_term(ctx, concept, gens, rule)
             for m in iter_bits(concept.intent):
                 assert (base >> m & 1) == is_base_attribute(
                     ctx, concept, m, rule)

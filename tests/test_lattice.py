@@ -246,9 +246,10 @@ def test_covers_need_the_complete_concept_set(toy_ctx, toy_concepts):
             build_covers(toy_concepts[:i] + toy_concepts[i + 1:])
         dropped += 1
     assert dropped == 7
-    # a list without the top, and a concept listed twice (the top, or one
-    # below it): each leaves a second concept with no upper cover
-    for concepts in (toy_concepts[1:], toy_concepts + toy_concepts[:1],
+    # an empty list has no concept without an upper cover; a list without
+    # the top, and a concept listed twice (the top, or one below it), each
+    # leave a second one
+    for concepts in ([], toy_concepts[1:], toy_concepts + toy_concepts[:1],
                      toy_concepts + toy_concepts[5:6]):
         with pytest.raises(ValueError, match="no upper cover"):
             build_covers(concepts)

@@ -83,8 +83,8 @@ def test_breakdown_is_composed_of_the_terms(toy_ctx, toy_lattice,
         for concept in lattice.concepts:
             for rule in BaseRule:
                 breakdown = becr(ctx, lattice, concept, rule)
-                alpha, base, equiv = alpha_term(ctx, concept, rule)
                 gens = minimal_generators(lattice, concept)
+                alpha, base, equiv = alpha_term(ctx, concept, gens, rule)
                 assert breakdown.alpha == alpha
                 assert breakdown.base_attributes == base
                 assert breakdown.equivalent_attributes == equiv
@@ -99,9 +99,20 @@ def test_witnesses_match_the_predicates_fuzz():
         ctx = random_context(rng)
         lattice = build_covers(enumerate_concepts(ctx))
         for concept in lattice.concepts:
-            size = concept.intent.bit_count()
+            b = concept.intent
+            size = b.bit_count()
+            # the identity alpha_term starts from, on oracles alone: the
+            # members every minimal generator holds are those whose removal
+            # changes the extent
+            shared = b
+            for g in brute_force_minimal_generators(ctx, concept):
+                shared &= g
+            assert shared == sum(
+                1 << m for m in iter_bits(b)
+                if ctx.derive_extent(b & ~(1 << m)) != concept.extent)
+            gens = minimal_generators(lattice, concept)
             for rule in BaseRule:
-                alpha, base, equiv = alpha_term(ctx, concept, rule)
+                alpha, base, equiv = alpha_term(ctx, concept, gens, rule)
                 expected_base = sum(
                     1 << m for m in iter_bits(concept.intent)
                     if is_base_attribute(ctx, concept, m, rule))
@@ -232,7 +243,7 @@ def _two_attribute_context():
 def test_alpha_term_rejects_an_intent_outside_the_context(intent):
     ctx, _ = _two_attribute_context()
     with pytest.raises(ValueError, match=_OUTSIDE):
-        alpha_term(ctx, FormalConcept(ctx.all_objects, intent))
+        alpha_term(ctx, FormalConcept(ctx.all_objects, intent), [intent])
 
 
 @pytest.mark.parametrize("intent", [0b100, -1])
