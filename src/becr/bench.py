@@ -126,6 +126,12 @@ def _best_ns(fn, repeats: int) -> int:
     return min(times, default=0)
 
 
+def _check_repeats(timing_repeats: int) -> None:
+    """Raise ValueError unless ``timing_repeats`` is an ``int`` >= 0."""
+    if not isinstance(timing_repeats, int) or timing_repeats < 0:
+        raise ValueError("timing_repeats must be an int >= 0")
+
+
 def score_concepts(
     ctx: FormalContext,
     lattice: ConceptLattice,
@@ -140,13 +146,14 @@ def score_concepts(
     Each selected index is computed once per concept, then timed over
     ``timing_repeats`` calls (BECR itself, stability by ``stability_dfs``);
     with 0 (the default) its time is 0.
-    A tripped guard re-raises IntentTooLarge naming the concept id.
+    A tripped guard re-raises IntentTooLarge naming the concept id, and
+    ``timing_repeats`` other than an ``int`` >= 0 raises ValueError before
+    any concept is scored.
     """
     if index not in INDEXES:
         raise ValueError(f"index must be one of {tuple(INDEXES)}, "
                          f"got {index!r}")
-    if timing_repeats < 0:
-        raise ValueError("timing_repeats must be >= 0")
+    _check_repeats(timing_repeats)
     rows = []
     for i, concept in enumerate(lattice.concepts):
         scores = {}
@@ -178,8 +185,11 @@ def run_comparison(
 ) -> ComparisonReport:
     """Score every concept with both indices and optionally time them.
 
-    ``timing_repeats`` = 0 skips timing (times report as 0).
+    ``timing_repeats`` = 0 skips timing (times report as 0).  Both knobs
+    are checked before any work: either one that is not an ``int`` in
+    range raises ValueError.
     """
+    _check_repeats(timing_repeats)
     concepts = enumerate_concepts(ctx, budget=concept_budget)
     rows = score_concepts(ctx, build_covers(concepts), rule,
                           timing_repeats=timing_repeats)

@@ -7,12 +7,13 @@ of an attribute mask stands for attribute ``j``, bit ``g`` of an object mask
 for object ``g``.  A context stores its names and its rows (one attribute
 mask per object); ``FormalContext(objects, attributes, rows)`` checks them.
 Every other view is derived from the rows on first read and then kept, so
-a context that is only serialised never builds one.  The
-column view (one object mask per attribute) makes each derivation cost one
-AND per member bit of the input mask.  Building a context costs time
-linear in |G|·|M|: the columns come from one transpose of the rows through
-a string of binary digits, not from one |G|-bit update per incidence, and
-the parsers check each cell or distinct FIMI token once.
+a context that is only serialised never builds one.  Both derivations
+read the column view (one object mask per attribute) and visit no object:
+an extent costs one AND per member of the attribute mask, an intent one
+subset test per column, so each costs time linear in |G|·|M|.  Building a
+context costs the same: the columns come from one transpose of the rows
+through a string of binary digits, not from one |G|-bit update per
+incidence, and the parsers check each cell or distinct FIMI token once.
 
 A context also derives its clarified view (Ganter & Wille 1999, ch. 1) on
 first read: the distinct rows in first-seen order, one row class each, and
@@ -221,15 +222,17 @@ class FormalContext:
             raise ValueError("attribute mask has bits outside this context")
 
     def derive_intent(self, objs: ObjSet) -> AttrSet:
-        """Attributes shared by every object in ``objs`` (all of M for ∅)."""
+        """Attributes shared by every object in ``objs`` (all of M for ∅).
+
+        m is in the intent exactly when ``objs`` ⊆ m', so each of the |M|
+        columns takes one subset test and no object is visited.
+        """
         self._check_objs(objs)
-        acc = self.all_attributes
-        rows = self.rows
-        while objs and acc:
-            low = objs & -objs
-            objs ^= low
-            acc &= rows[low.bit_length() - 1]
-        return acc
+        intent = 0
+        for m, col in enumerate(self.cols):
+            if col & objs == objs:
+                intent |= 1 << m
+        return intent
 
     def derive_extent(self, attrs: AttrSet) -> ObjSet:
         """Objects having every attribute in ``attrs`` (all of G for ∅)."""
@@ -243,17 +246,8 @@ class FormalContext:
         return acc
 
     def close_attrs(self, attrs: AttrSet) -> AttrSet:
-        """Closure attrs'' = derive_intent(derive_extent(attrs))."""
-        extent = self.derive_extent(attrs)
-        acc = self.all_attributes
-        rows = self.rows
-        while extent:
-            low = extent & -extent
-            extent ^= low
-            acc &= rows[low.bit_length() - 1]
-            if acc == attrs:
-                break  # every object in the extent keeps acc ⊇ attrs
-        return acc
+        """Closure attrs'': the intent of the extent of ``attrs``."""
+        return self.derive_intent(self.derive_extent(attrs))
 
     # -- name helpers -------------------------------------------------------
 

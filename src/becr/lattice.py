@@ -79,10 +79,12 @@ def enumerate_concepts(
     ``ctx.class_rows``); a kept child takes one more AND on the object
     columns for its extent.
 
-    Raises ConceptBudgetExceeded as soon as the count would pass ``budget``.
+    Raises ConceptBudgetExceeded as soon as the count would pass ``budget``,
+    and ValueError, before any work, for a budget that is not a positive
+    ``int``.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    if not isinstance(budget, int) or budget < 1:
+        raise ValueError("budget must be a positive int")
     rows, cols, full = ctx.class_rows, ctx.class_cols, ctx.all_attributes
     obj_cols = ctx.cols
     concepts = []

@@ -107,12 +107,14 @@ def _require_member(concept: FormalConcept, m: int) -> None:
 def _removal_set(
     ctx: FormalContext, concept: FormalConcept, m: int, rule: BaseRule
 ) -> AttrSet:
+    if type(rule) is not BaseRule:
+        raise ValueError(f"rule {rule!r} is not a BaseRule member")
     m_extent = ctx.cols[m]
     removed = 1 << m
     for y in iter_bits(concept.intent):
         y_extent = ctx.cols[y]
         if (y_extent & ~m_extent) == 0:  # y' ⊆ m'
-            if rule is BaseRule.LITERAL_NON_STRICT or y_extent != m_extent:
+            if rule is not BaseRule.WORKED_EXAMPLE or y_extent != m_extent:
                 removed |= 1 << y
     return removed
 
@@ -126,7 +128,7 @@ def is_base_attribute(
     """True when m falls out of the closure of B minus its removal set.
 
     Membership test m ∈ X'' is equivalent to X' ⊆ m', which saves the second
-    derivation.
+    derivation.  Raises ValueError for a rule that is not a BaseRule member.
     """
     _require_member(concept, m)
     rest = concept.intent & ~_removal_set(ctx, concept, m, rule)
@@ -161,7 +163,8 @@ def alpha_term(
     equivalent-attribute count is used only when no base attribute exists.
     An empty intent has neither and scores 0 through the same steps: its A
     is the AND of no columns, all classes.  Raises ValueError for an intent
-    with bits outside the context.
+    with bits outside the context, and for a rule that is not a BaseRule
+    member (its value string included).
 
     Equivalent to calling is_base_attribute per member.  A member m that
     every minimal generator holds is base: B minus {m} is then no
@@ -175,6 +178,9 @@ def alpha_term(
     """
     b = concept.intent
     ctx.check_attrs(b)
+    # identity tests only: this runs once per timed BECR call
+    if type(rule) is not BaseRule:
+        raise ValueError(f"rule {rule!r} is not a BaseRule member")
     size = b.bit_count()
     cols = ctx.class_cols
     lows = []
@@ -245,7 +251,8 @@ def becr(
 
     The minimal-generator family is computed once and read by both terms.
     Raises ValueError for an intent with bits outside the context, before
-    the lattice is searched for the concept.
+    the lattice is searched for the concept, and (from ``alpha_term``) for
+    a rule that is not a BaseRule member.
     """
     ctx.check_attrs(concept.intent)
     generators = minimal_generators(lattice, concept)

@@ -118,9 +118,25 @@ def test_xi_undefined_below_two_concepts():
     assert report.pearson_xi is None
 
 
-def test_run_comparison_argument_validation(toy_ctx):
+def test_run_comparison_argument_validation(toy_ctx, toy_lattice,
+                                            monkeypatch):
     with pytest.raises(ValueError):
         run_comparison(toy_ctx, timing_repeats=-1)
+
+    # a knob that is not an int fails as a ValueError before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the knobs were checked")
+    monkeypatch.setattr(bench, "build_covers", no_work)
+    monkeypatch.setattr(bench, "becr", no_work)
+    monkeypatch.setattr(bench, "stability", no_work)
+    for repeats in (1.5, "3", None):
+        with pytest.raises(ValueError, match="timing_repeats must be an int"):
+            run_comparison(toy_ctx, timing_repeats=repeats)
+        with pytest.raises(ValueError, match="timing_repeats must be an int"):
+            score_concepts(toy_ctx, toy_lattice, timing_repeats=repeats)
+    for budget in (2.5, "3"):
+        with pytest.raises(ValueError, match="budget must be a positive int"):
+            run_comparison(toy_ctx, timing_repeats=0, concept_budget=budget)
 
 
 def test_concept_budget_is_forwarded(toy_ctx):

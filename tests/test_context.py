@@ -335,6 +335,15 @@ def test_density_undefined_on_zero_area():
 def test_empty_set_conventions(toy_ctx):
     assert toy_ctx.derive_intent(0) == toy_ctx.all_attributes
     assert toy_ctx.derive_extent(0) == toy_ctx.all_objects
+    # u is in every row and e in none: no objects still share all of M,
+    # the top intent is u alone, and e's empty extent closes to all of M
+    ctx = FormalContext.from_rows(["g0", "g1", "g2"], ["u", "e", "x"],
+                                  [0b001, 0b101, 0b001])
+    assert ctx.derive_intent(0) == 0b111
+    assert ctx.derive_extent(0) == 0b111
+    assert ctx.close_attrs(0) == ctx.derive_intent(0b111) == 0b001
+    assert ctx.derive_extent(0b010) == 0
+    assert ctx.close_attrs(0b010) == 0b111
 
 
 @given(context_and_masks())
@@ -352,6 +361,11 @@ def test_galois_adjunction(case):
     left = objs & ~ctx.derive_extent(attrs) == 0
     right = attrs & ~ctx.derive_intent(objs) == 0
     assert left == right
+    # the intent is the AND of the drawn objects' rows, all of M for none
+    shared = ctx.all_attributes
+    for g in iter_bits(objs):
+        shared &= ctx.rows[g]
+    assert ctx.derive_intent(objs) == shared
 
 
 @given(context_and_masks())

@@ -153,6 +153,10 @@ def test_concept_budget(toy_ctx):
         enumerate_concepts(toy_ctx, budget=12)
     with pytest.raises(ValueError):
         enumerate_concepts(toy_ctx, budget=0)
+    # not an int: 2.5 is no concept count, and "3" does not compare
+    for budget in (2.5, "3", None):
+        with pytest.raises(ValueError, match="budget must be a positive int"):
+            enumerate_concepts(toy_ctx, budget=budget)
 
 
 def test_concept_budget_boundary():

@@ -75,6 +75,18 @@ def test_toy_literal_rule(toy_ctx, toy_lattice):
     assert toy_ctx.attr_names(breakdown.base_attributes) == ["c", "d", "g"]
     assert breakdown.beta == F(2, 3)
     assert breakdown.becr == F(5, 6)
+    # a rule that is not a member, its value string included, must not fall
+    # through to either rule: alpha_term and is_base_attribute would
+    # disagree on which
+    gens = minimal_generators(toy_lattice, cdg)
+    d = toy_ctx.attributes.index("d")
+    for rule in (BaseRule.WORKED_EXAMPLE.value, None):
+        with pytest.raises(ValueError, match="not a BaseRule member"):
+            alpha_term(toy_ctx, cdg, gens, rule)
+        with pytest.raises(ValueError, match="not a BaseRule member"):
+            is_base_attribute(toy_ctx, cdg, d, rule)
+        with pytest.raises(ValueError, match="not a BaseRule member"):
+            becr(toy_ctx, toy_lattice, cdg, rule)
 
 
 def test_breakdown_is_composed_of_the_terms(toy_ctx, toy_lattice,
