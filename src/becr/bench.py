@@ -3,7 +3,7 @@
 The score table has one ScoreRow per concept; ``emit_table`` writes it for
 ``becr bench`` and ``becr relevance``.  Per-concept times are wall-clock ns,
 measured sequentially on one thread as the minimum over ``timing_repeats``
-runs.  BECR timing includes the minimal-generator computation it depends
+runs.  BECR timing includes the whole minimal-generator search it depends
 on, and the call that computes the score is its warm-up.  The stability
 score comes from ``stability``, but its time is that of ``stability_dfs``,
 the paper's full-subset baseline that visits all 2^|B| intent subsets.
@@ -126,8 +126,11 @@ def _best_ns(fn, repeats: int) -> int:
     return min(times, default=0)
 
 
-def _check_repeats(timing_repeats: int) -> None:
-    """Raise ValueError unless ``timing_repeats`` is an ``int`` >= 0."""
+def _check_args(rule: BaseRule, timing_repeats: int) -> None:
+    """Raise ValueError unless ``rule`` is a BaseRule member and
+    ``timing_repeats`` is an ``int`` >= 0."""
+    if type(rule) is not BaseRule:
+        raise ValueError(f"rule {rule!r} is not a BaseRule member")
     if not isinstance(timing_repeats, int) or timing_repeats < 0:
         raise ValueError("timing_repeats must be an int >= 0")
 
@@ -146,14 +149,15 @@ def score_concepts(
     Each selected index is computed once per concept, then timed over
     ``timing_repeats`` calls (BECR itself, stability by ``stability_dfs``);
     with 0 (the default) its time is 0.
-    A tripped guard re-raises IntentTooLarge naming the concept id, and
-    ``timing_repeats`` other than an ``int`` >= 0 raises ValueError before
-    any concept is scored.
+    A tripped guard re-raises IntentTooLarge naming the concept id.  A
+    ``rule`` that is not a BaseRule member and ``timing_repeats`` other than
+    an ``int`` >= 0 raise ValueError before any concept is scored, whichever
+    index is chosen.
     """
     if index not in INDEXES:
         raise ValueError(f"index must be one of {tuple(INDEXES)}, "
                          f"got {index!r}")
-    _check_repeats(timing_repeats)
+    _check_args(rule, timing_repeats)
     rows = []
     for i, concept in enumerate(lattice.concepts):
         scores = {}
@@ -185,11 +189,11 @@ def run_comparison(
 ) -> ComparisonReport:
     """Score every concept with both indices and optionally time them.
 
-    ``timing_repeats`` = 0 skips timing (times report as 0).  Both knobs
-    are checked before any work: either one that is not an ``int`` in
-    range raises ValueError.
+    ``timing_repeats`` = 0 skips timing (times report as 0).  Every
+    argument is checked before any work: a ``rule`` that is not a BaseRule
+    member, or a knob that is not an ``int`` in range, raises ValueError.
     """
-    _check_repeats(timing_repeats)
+    _check_args(rule, timing_repeats)
     concepts = enumerate_concepts(ctx, budget=concept_budget)
     rows = score_concepts(ctx, build_covers(concepts), rule,
                           timing_repeats=timing_repeats)
@@ -207,8 +211,12 @@ def run_comparison(
 
 
 def format_score(value: Fraction) -> str:
-    """A score as written to every CSV: six decimals."""
-    return f"{float(value):.6f}"
+    """A score as written to every CSV: six decimals.
+
+    The true division is what ``float(value)`` computes, without the detour
+    through ``numbers.Rational.__float__``.
+    """
+    return f"{value.numerator / value.denominator:.6f}"
 
 
 def emit_table(rows: Sequence[ScoreRow], columns: Sequence[str]) -> str:

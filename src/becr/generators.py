@@ -3,8 +3,14 @@
 A generator of a concept (A, B) is a subset h of B with h'' = B; minimal
 generators are the inclusion-minimal ones.  They coincide with the minimal
 transversals of the concept's faces -- for each upper cover (Au, Bu) the face
-is B minus Bu -- which is what Berge's transversal step below computes, one
-face at a time, keeping every candidate minimal as it goes.
+is B minus Bu -- which ``generator_family`` finds by MMCS, a depth-first
+search that keeps every partial set minimal as it goes (Murakami and Uno,
+"Efficient algorithms for dualizing large-scale hypergraphs", 2014).
+
+There are two orders.  ``generator_family`` returns the family in the order
+the search reaches it; ``becr`` reads that, since both BECR terms only AND
+the family and count it.  ``minimal_generators`` returns it sorted, the
+order every other caller sees.
 """
 from __future__ import annotations
 
@@ -18,34 +24,42 @@ class IntentTooLarge(ValueError):
     """Intent exceeds an exponential-work guard."""
 
 
-def minimal_generators(
+def generator_family(
     lattice: ConceptLattice, concept: FormalConcept
 ) -> list[AttrSet]:
-    """All minimal generators of the concept's intent.
+    """All minimal generators of the concept's intent, in search order.
 
-    Berge's transversal step (Berge 1989), one face at a time.  Candidates
-    that meet the new face survive; each one that misses it is extended by
-    every attribute ``a`` of the face, so a face that every candidate meets
-    leaves the family as it was.  Candidates form an antichain, so no
-    extension lies inside a survivor and no two extensions coincide or
-    contain each other: ``cand | a`` is non-minimal exactly when it contains
-    a survivor that meets the face in ``a`` alone, and that is the only test
-    made.  Returns masks sorted by size, then in descending lectic order
-    (``lectic_key``): within one size, members ascending.  A concept without
-    upper covers (the supremum) has the empty set as its only generator.
+    One pass over the upper covers ORs the one-attribute faces into
+    ``forced`` and collects the others.  Each face {a} must be hit, so ``a``
+    is in every generator, and a face that meets ``forced`` is already hit.
+    ``forced`` is all of ∩H, the members every generator holds: m is in each
+    one exactly when B minus {m} is no generator, that is, when it is closed
+    and {m} is a face.  When ``forced`` meets every face the concept has one
+    generator, ``[forced]``, and no search runs (833 of the 848 concepts of
+    coin-toss 793x10).  A concept without upper covers (the supremum) has
+    the empty set as its only generator.
 
-    The step starts from ``forced``, the union of the one-attribute faces:
-    each face {a} must be hit, so ``a`` is in every generator, and every
-    face that meets ``forced`` is skipped.  ``forced`` is all of ∩H, the
-    members every generator holds: m is in each one exactly when B minus
-    {m} is no generator, that is, when it is closed and {m} is a face.  A
-    concept has one generator exactly when ``forced`` meets all its faces,
-    and then no step runs (833 of the 848 concepts of coin-toss 793x10).
-    The other faces are taken smallest first, ties in cover order.  The
-    result does not depend on that order, the work does: small faces first
-    keep the families, and so the blocker lists, small.  The bottom
-    concept of coin-toss 14x32 (p=0.6, seed 42) has 4,005 generators; they
-    take 245k blocker scans in this order and 874k in cover id order.
+    The other faces go to MMCS, which searches for their minimal
+    transversals depth first; each one, ORed with ``forced``, is a minimal
+    generator.  The faces are numbered smallest first, ties in cover order,
+    and ``hit[a]`` is the mask of the faces that attribute ``a`` meets.  A
+    node of the search holds the partial set, ``uncov``, the mask of the
+    faces it does not meet yet, and one ``crit`` mask per member it added:
+    the faces that member alone meets.  The node branches on the candidates
+    in its first uncovered face, the smallest one, in ascending attribute
+    order.  A new member takes the faces it meets out of every ``crit``;
+    once one of them empties, that member is redundant in every superset,
+    so the branch is cut.  A branch whose ``uncov`` empties is a minimal
+    transversal.  Within the branch on a candidate, the candidates of the
+    later branches on the same face are left out, so no set is reached
+    twice.  The result does not depend on the face order, the work does:
+    the bottom concept of coin-toss 14x32 (p=0.6, seed 42) has 4,005
+    generators, which take 1,282 inner nodes with the faces smallest first
+    and 2,774 in cover order.
+
+    The masks come out in search order, which depends on the face order;
+    ``minimal_generators`` sorts them.  ``becr`` runs the whole search on
+    every call, so the BECR times of ``becr bench`` include it.
     """
     b = concept.intent
     concepts = lattice.concepts
@@ -57,39 +71,67 @@ def minimal_generators(
             faces.append(face)
         else:
             forced |= face
-    faces.sort(key=int.bit_count)
-    h = [forced]
+    # most concepts stop here, so this test builds no list
     for face in faces:
-        if face & forced:
-            continue
-        kept: list[int] = []
-        missed: list[int] = []
-        # a -> the survivors that meet the face in a alone
-        blockers: dict[int, list[int]] = {}
-        for cand in h:
-            meet = cand & face
-            if not meet:
-                missed.append(cand)
-                continue
-            kept.append(cand)
-            if meet & (meet - 1) == 0:
-                blockers.setdefault(meet, []).append(cand)
-        for cand in missed:
-            rest = face
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                ext = cand | low
-                for blocker in blockers.get(low, ()):
-                    if blocker & ext == blocker:
-                        break
+        if not face & forced:
+            break
+    else:
+        return [forced]
+    faces = sorted([face for face in faces if not face & forced],
+                   key=int.bit_count)
+    hit: dict[int, int] = {}
+    bit = 1
+    for face in faces:
+        rest = face
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            hit[low] = hit.get(low, 0) | bit
+        bit <<= 1
+    family: list[int] = []
+
+    def search(chosen: int, cand: int, uncov: int, crits: list[int]) -> None:
+        face = faces[(uncov & -uncov).bit_length() - 1]
+        branch = cand & face
+        cand ^= branch
+        # each branch, once taken, is a candidate of the later ones
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            meets = hit[low]
+            for crit in crits:
+                if crit & meets == crit:
+                    break
+            else:
+                rest = uncov & ~meets
+                if rest:
+                    search(chosen | low, cand, rest,
+                           [crit & ~meets for crit in crits]
+                           + [uncov & meets])
                 else:
-                    kept.append(ext)
-        h = kept
-    if len(h) > 1:
-        width = b.bit_length()
-        h.sort(key=lambda g: (g.bit_count(), -lectic_key(g, width)))
-    return h
+                    family.append(chosen | low)
+            cand |= low
+
+    # a branch lies in a face, so only face members are ever taken from b
+    search(forced, b, (1 << len(faces)) - 1, [])
+    return family
+
+
+def minimal_generators(
+    lattice: ConceptLattice, concept: FormalConcept
+) -> list[AttrSet]:
+    """All minimal generators of the concept's intent, sorted.
+
+    ``generator_family`` sorted by size, then in descending lectic order
+    (``lectic_key``): within one size, members ascending.  A concept
+    without upper covers (the supremum) has the empty set as its only
+    generator.
+    """
+    family = generator_family(lattice, concept)
+    if len(family) > 1:
+        width = concept.intent.bit_length()
+        family.sort(key=lambda g: (g.bit_count(), -lectic_key(g, width)))
+    return family
 
 
 def brute_force_minimal_generators(
@@ -97,7 +139,7 @@ def brute_force_minimal_generators(
 ) -> list[AttrSet]:
     """Oracle: test h'' = B over the whole powerset of B, keep minimal ones.
 
-    Written independently of the face transversal; guarded to |B| <= 20.
+    Written independently of the face transversals; guarded to |B| <= 20.
     """
     b = concept.intent
     if b.bit_count() > BRUTE_FORCE_MAX_INTENT:

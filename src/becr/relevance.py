@@ -37,7 +37,7 @@ from .context import AttrSet, FormalContext, iter_bits
 from .generators import (
     BRUTE_FORCE_MAX_INTENT,
     IntentTooLarge,
-    minimal_generators,
+    generator_family,
 )
 from .lattice import ConceptLattice, FormalConcept
 
@@ -158,8 +158,8 @@ def alpha_term(
 ) -> tuple[Fraction, AttrSet, AttrSet]:
     """(alpha, base mask, equivalent mask) for a concept of ``ctx``.
 
-    ``generators`` is the concept's minimal-generator family H, as from
-    ``minimal_generators``.  Base attributes take priority; the
+    ``generators`` is the concept's minimal-generator family H in any
+    order, as from ``generator_family``.  Base attributes take priority; the
     equivalent-attribute count is used only when no base attribute exists.
     An empty intent has neither and scores 0 through the same steps: its A
     is the AND of no columns, all classes.  Raises ValueError for an intent
@@ -249,13 +249,14 @@ def becr(
 ) -> BecrBreakdown:
     """Full BECR breakdown: (alpha + beta) / 2 plus the witnesses.
 
-    The minimal-generator family is computed once and read by both terms.
+    The minimal-generator family is computed once, in ``generator_family``'s
+    search order, and read by both terms, which only AND it and count it.
     Raises ValueError for an intent with bits outside the context, before
     the lattice is searched for the concept, and (from ``alpha_term``) for
     a rule that is not a BaseRule member.
     """
     ctx.check_attrs(concept.intent)
-    generators = minimal_generators(lattice, concept)
+    generators = generator_family(lattice, concept)
     alpha, base, equiv = alpha_term(ctx, concept, generators, rule)
     beta = beta_term(concept, generators)
     # (alpha + beta) / 2 spelled as one normalization instead of two

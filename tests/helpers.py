@@ -1,7 +1,13 @@
 """Small utilities shared by the test modules."""
 import random
 
-from becr import FormalConcept, FormalContext, MalformedRow
+from becr import (
+    ConceptLattice,
+    FormalConcept,
+    FormalContext,
+    MalformedRow,
+    iter_bits,
+)
 
 
 def random_context(rng: random.Random, max_objects: int = 8,
@@ -52,6 +58,48 @@ def generator_key(mask: int):
         mask ^= low
         bits.append(low)
     return (len(bits), bits)
+
+
+def berge_minimal_generators(lattice: ConceptLattice,
+                             concept: FormalConcept) -> list[int]:
+    """Oracle: the concept's minimal generators by Berge's transversal step.
+
+    Written independently of the MMCS search and not bounded by the
+    powerset oracle's intent guard.  The faces are B minus each upper
+    cover's intent, taken one at a time from {∅}: candidates that meet the
+    face survive, and each one that misses it is extended by every
+    attribute a of the face, unless that extension contains a survivor
+    that meets the face in a alone.  Candidates form an antichain, so that
+    is the only non-minimal case and no extension arises twice.  Faces go
+    smallest first, which changes the work but not the result.  Returns
+    the family sorted by ``generator_key``.
+    """
+    b = concept.intent
+    faces = sorted(
+        (b & ~lattice.concepts[cid].intent
+         for cid in lattice.upper_covers[lattice.index_of(concept)]),
+        key=int.bit_count)
+    family = [0]
+    for face in faces:
+        kept, missed = [], []
+        # a -> the survivors that meet the face in a alone
+        blockers: dict[int, list[int]] = {}
+        for cand in family:
+            meet = cand & face
+            if not meet:
+                missed.append(cand)
+                continue
+            kept.append(cand)
+            if meet & (meet - 1) == 0:
+                blockers.setdefault(meet, []).append(cand)
+        for cand in missed:
+            for a in iter_bits(face):
+                ext = cand | 1 << a
+                if not any(blocker & ext == blocker
+                           for blocker in blockers.get(1 << a, ())):
+                    kept.append(ext)
+        family = kept
+    return sorted(family, key=generator_key)
 
 
 def columns_oracle(rows, m: int) -> tuple[int, ...]:

@@ -137,6 +137,12 @@ def test_run_comparison_argument_validation(toy_ctx, toy_lattice,
     for budget in (2.5, "3"):
         with pytest.raises(ValueError, match="budget must be a positive int"):
             run_comparison(toy_ctx, timing_repeats=0, concept_budget=budget)
+    # so does a rule that is not a BaseRule member, its value string
+    # included, even where no BECR score would be computed
+    with pytest.raises(ValueError, match="not a BaseRule member"):
+        run_comparison(toy_ctx, rule="literal", concept_budget=1)
+    with pytest.raises(ValueError, match="not a BaseRule member"):
+        score_concepts(toy_ctx, toy_lattice, rule="literal", index="stability")
 
 
 def test_concept_budget_is_forwarded(toy_ctx):

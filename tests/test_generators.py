@@ -1,4 +1,4 @@
-"""Minimal generators: pins, semantic checks, and the powerset oracle."""
+"""Minimal generators: pins, semantic checks, and the two oracles."""
 import random
 
 import pytest
@@ -12,10 +12,11 @@ from becr import (
     build_covers,
     coin_toss_context,
     enumerate_concepts,
+    generator_family,
     iter_bits,
     minimal_generators,
 )
-from helpers import generator_key, random_context
+from helpers import berge_minimal_generators, generator_key, random_context
 
 
 def masks_to_names(ctx, masks):
@@ -66,6 +67,10 @@ def test_matches_powerset_oracle_fuzz():
             expected = sorted(
                 brute_force_minimal_generators(ctx, concept), key=generator_key)
             assert minimal_generators(lattice, concept) == expected
+            assert berge_minimal_generators(lattice, concept) == expected
+            # the search order holds the same masks, each once
+            assert sorted(generator_family(lattice, concept),
+                          key=generator_key) == expected
 
 
 def test_matches_powerset_oracle_on_large_families():
@@ -110,8 +115,27 @@ def test_face_order_changes_no_generator_family():
         ]
         lattice = ConceptLattice(concepts, covers)
         for concept in concepts:
-            assert minimal_generators(lattice, concept) == \
-                brute_force_minimal_generators(ctx, concept)
+            expected = brute_force_minimal_generators(ctx, concept)
+            assert minimal_generators(lattice, concept) == expected
+            assert sorted(generator_family(lattice, concept),
+                          key=generator_key) == expected
+
+
+@pytest.mark.parametrize("spec,bottom_family", [
+    (CoinTossSpec(14, 32, 0.6, 42), 4005),
+    (CoinTossSpec(14, 28, 0.6, 42), 1841),
+], ids=["wide-14x32", "ci-14x28"])
+def test_matches_berge_oracle_past_the_powerset_guard(spec, bottom_family):
+    # every concept, the bottom one included: its intent is all of M, past
+    # the powerset oracle's 20 attributes
+    ctx = coin_toss_context(spec)
+    lattice = build_covers(enumerate_concepts(ctx))
+    for concept in lattice.concepts:
+        assert minimal_generators(lattice, concept) == \
+            berge_minimal_generators(lattice, concept)
+    bottom = lattice.concepts[-1]
+    assert bottom.intent == ctx.all_attributes
+    assert len(minimal_generators(lattice, bottom)) == bottom_family
 
 
 @pytest.mark.parametrize("spec,total,largest", [
