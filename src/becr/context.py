@@ -13,7 +13,9 @@ an extent costs one AND per member of the attribute mask, an intent one
 subset test per column, so each costs time linear in |G|·|M|.  Building a
 context costs the same: the columns come from one transpose of the rows
 through a string of binary digits, not from one |G|-bit update per
-incidence, and the parsers check each cell or distinct FIMI token once.
+incidence.  The CXT and FIMI parsers decode each distinct table line or
+transaction once, and a line that repeats costs one dict lookup: a row is
+a function of its line's text.
 
 A context also derives its clarified view (Ganter & Wille 1999, ch. 1) on
 first read: the distinct rows in first-seen order, one row class each, and
@@ -270,12 +272,24 @@ class FormalContext:
 
 # -- Burmeister .cxt --------------------------------------------------------
 
+# cell marks to binary digits and back, and a table that deletes both marks
+_CXT_CELLS = str.maketrans("01", ".X")
+_CXT_BITS = str.maketrans(".X", "01")
+_CXT_MARKS = str.maketrans("", "", ".X")
+
+
 def parse_cxt(text: str) -> FormalContext:
     """Parse Burmeister format.
 
     Layout: a ``B`` line, a blank line, the object count, the attribute
     count, a blank line, one object name per line, one attribute name per
     line, then the cross table with ``X`` for incident and ``.`` for not.
+
+    Each distinct table line is checked and decoded once, by ``str``
+    methods rather than a loop over its cells; a repeated line costs one
+    dict lookup.  A faulty table names the first faulty line in reading
+    order: ``DimensionMismatch`` for a line of other than |M| cells,
+    ``IllegalCell`` with the row and column of its first bad cell.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "B":
@@ -307,26 +321,26 @@ def parse_cxt(text: str) -> FormalContext:
         raise DimensionMismatch("trailing content after the cross table")
     objects = body[:n]
     attributes = body[n:n + m]
-    rows = []
-    for i, line in enumerate(body[n + m:needed]):
+    table = body[n + m:needed]
+    # distinct lines in first-seen order: the first faulty one is the first
+    # faulty line of the table, and its first occurrence is its row
+    masks = dict.fromkeys(table)
+    for line in masks:
         if len(line) != m:
             raise DimensionMismatch(
-                f"row {i} has {len(line)} cells, expected {m}"
+                f"row {table.index(line)} has {len(line)} cells, expected {m}"
             )
-        mask = 0
-        for j, ch in enumerate(line):
-            if ch == "X":
-                mask |= 1 << j
-            elif ch != ".":
-                raise IllegalCell(ch, i, j)
-        rows.append(mask)
+        illegal = line.translate(_CXT_MARKS)  # the cells that are not X or .
+        if illegal:
+            raise IllegalCell(illegal[0], table.index(line),
+                              line.index(illegal[0]))
+        # cell j is bit j: reversed, the cells read as binary digits
+        masks[line] = int("0" + line[::-1].translate(_CXT_BITS), 2)
     try:
-        return FormalContext.from_rows(objects, attributes, rows)
+        return FormalContext.from_rows(objects, attributes,
+                                       map(masks.__getitem__, table))
     except ValueError as err:  # an empty or repeated name
         raise MalformedHeader(str(err)) from None
-
-
-_CXT_CELLS = str.maketrans("01", ".X")
 
 
 def serialize_cxt(ctx: FormalContext) -> str:
@@ -404,12 +418,19 @@ def parse_fimi(text: str) -> FormalContext:
     item ids, in ascending numeric order.  Tokens that read as the same
     integer (``1`` and ``01``) name one item, and an item listed twice on
     a line is one incidence.
+
+    A row is a function of its line's text, so each distinct line is split
+    and turned into a mask once, and each distinct token is checked and
+    converted once; a repeated line costs one dict lookup.  A bad token
+    raises MalformedRow naming the first line, in reading order, that
+    holds one.
     """
-    lines = [line.split() for line in text.splitlines()]
-    # each distinct token is checked and converted once
+    lines = text.splitlines()
+    # distinct lines in first-seen order, each with its tokens
+    split = {line: line.split() for line in dict.fromkeys(lines)}
     ids = {}
     bad = {}
-    for token in set(chain.from_iterable(lines)):
+    for token in set(chain.from_iterable(split.values())):
         # str.isdigit alone admits non-ASCII digits such as '²'
         if not (token.isascii() and token.isdigit()):
             bad[token] = f"non-integer item {token!r}"
@@ -419,18 +440,22 @@ def parse_fimi(text: str) -> FormalContext:
         except ValueError:  # over the interpreter's int digit limit
             bad[token] = "item too long"
     if bad:  # report the first bad token in reading order
-        for i, tokens in enumerate(lines):
+        # the first distinct line holding one is the first such line, and
+        # its first occurrence is its line number
+        for line, tokens in split.items():
             for token in tokens:
                 if token in bad:
-                    raise MalformedRow(f"line {i + 1}: {bad[token]}")
+                    raise MalformedRow(
+                        f"line {lines.index(line) + 1}: {bad[token]}")
     items = sorted(set(ids.values()))
     index = {item: j for j, item in enumerate(items)}
     bit = {token: 1 << index[item] for token, item in ids.items()}
     # a row is the OR of its tokens' bits: the sum of the distinct ones
     lookup = bit.__getitem__
-    rows = [sum({*map(lookup, tokens)}) for tokens in lines]
+    masks = {line: sum({*map(lookup, tokens)})
+             for line, tokens in split.items()}
     return FormalContext.from_rows(
         map(str, range(1, len(lines) + 1)),
         map(str, items),
-        rows,
+        map(masks.__getitem__, lines),
     )

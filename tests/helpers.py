@@ -3,8 +3,10 @@ import random
 
 from becr import (
     ConceptLattice,
+    DimensionMismatch,
     FormalConcept,
     FormalContext,
+    IllegalCell,
     MalformedRow,
     iter_bits,
 )
@@ -131,6 +133,27 @@ def fimi_oracle(text: str):
     ids = sorted({item for t in transactions for item in t})
     index = {item: j for j, item in enumerate(ids)}
     return ids, [sum(1 << index[item] for item in t) for t in transactions]
+
+
+def cxt_table_oracle(lines, m: int) -> list[int]:
+    """Row masks of a Burmeister cross table of m columns, one cell at a time.
+
+    Raises DimensionMismatch or IllegalCell for the first faulty line.
+    """
+    rows = []
+    for i, line in enumerate(lines):
+        if len(line) != m:
+            raise DimensionMismatch(
+                f"row {i} has {len(line)} cells, expected {m}"
+            )
+        mask = 0
+        for j, ch in enumerate(line):
+            if ch == "X":
+                mask |= 1 << j
+            elif ch != ".":
+                raise IllegalCell(ch, i, j)
+        rows.append(mask)
+    return rows
 
 
 def cxt_rows_oracle(ctx: FormalContext) -> list[str]:

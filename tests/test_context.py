@@ -3,7 +3,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from becr import (
     DimensionMismatch,
@@ -21,7 +21,12 @@ from becr import (
     serialize_cxt,
 )
 from conftest import DATA
-from helpers import columns_oracle, cxt_rows_oracle, fimi_oracle
+from helpers import (
+    columns_oracle,
+    cxt_rows_oracle,
+    cxt_table_oracle,
+    fimi_oracle,
+)
 
 
 @st.composite
@@ -143,6 +148,68 @@ def test_illegal_cell_coordinates():
     assert (info.value.char, info.value.row, info.value.col) == ("x", 1, 1)
 
 
+# a character that is neither cell mark nor a line boundary
+_cxt_bad_cell = st.characters().filter(
+    lambda c: c not in "X." and (c + "a").splitlines() == [c + "a"])
+
+
+@st.composite
+def cxt_table(draw):
+    """(m, table lines): repeated rows, and at most one faulty line (too
+    short, too long, or with an illegal cell) placed after the first
+    repeat, itself repeated or not."""
+    m = draw(st.integers(0, 5))
+    variants = draw(st.lists(st.text(st.sampled_from("X."), min_size=m,
+                                     max_size=m), min_size=1, max_size=4))
+    lines = draw(st.lists(st.sampled_from(variants), max_size=12))
+    fault = draw(st.sampled_from(["none", "short", "long", "cell"]))
+    if fault == "none" or not lines:
+        return m, lines
+    line = draw(st.sampled_from(variants))
+    # with no columns a line can only be too long
+    if fault == "short" and m:
+        line = line[:draw(st.integers(0, m - 1))]
+    elif fault == "cell" and m:
+        # one or two illegal characters, in one cell or more
+        bad = st.sampled_from(draw(st.lists(_cxt_bad_cell, min_size=1,
+                                            max_size=2)))
+        cells = draw(st.sets(st.integers(0, m - 1), min_size=1))
+        line = "".join(draw(bad) if j in cells else ch
+                       for j, ch in enumerate(line))
+    else:
+        line += draw(st.text(st.sampled_from("X.") | _cxt_bad_cell,
+                             min_size=1, max_size=3))
+    after_repeat = next(
+        (i + 1 for i, old in enumerate(lines) if old in lines[:i]), 0)
+    at = draw(st.integers(after_repeat, len(lines)))
+    copies = draw(st.integers(1, 2))
+    return m, lines[:at] + [line] * copies + lines[at:]
+
+
+@given(cxt_table())
+# a repeated row, then a repeated line whose first bad character recurs
+@example((5, ["X.X.X", "X.X.X", ".?!?!", ".?!?!"]))
+def test_parse_cxt_table_matches_the_per_cell_oracle(case):
+    m, lines = case
+    n = len(lines)
+    text = "".join(
+        line + "\n"
+        for line in ["B", "", str(n), str(m), ""]
+        + [f"g{i}" for i in range(n)] + [f"m{j}" for j in range(m)] + lines)
+    try:
+        expected = cxt_table_oracle(lines, m)
+    except (DimensionMismatch, IllegalCell) as err:
+        with pytest.raises(type(err)) as got:
+            parse_cxt(text)
+        assert type(got.value) is type(err)
+        assert str(got.value) == str(err)
+        if isinstance(err, IllegalCell):
+            assert (got.value.char, got.value.row, got.value.col) == \
+                (err.char, err.row, err.col)
+    else:
+        assert parse_cxt(text).rows == tuple(expected)
+
+
 def test_parse_cxt_accepts_trailing_blank_lines():
     text = "B\n\n1\n1\n\ng\nm\nX\n\n\n"
     ctx = parse_cxt(text)
@@ -198,6 +265,10 @@ def test_parse_fimi_rejects_non_integer():
     ("1 x\n" + "9" * 5000, "line 1: non-integer item 'x'"),
     ("9" * 5000 + " x", "line 1: item too long"),
     ("x\n\n1 -1 x", "line 1: non-integer item 'x'"),
+    # a faulty line that repeats is named by its first occurrence
+    ("1\n2 x\n3\n2 x\n", "line 2: non-integer item 'x'"),
+    # a clean line and then a variant of it holding a bad token
+    ("1 2\n3\n1 2\n2 01 -1\n1 2\n2 01 -1\n", "line 4: non-integer item '-1'"),
 ])
 def test_parse_fimi_names_the_first_bad_token(text, message):
     with pytest.raises(MalformedRow) as err:
@@ -219,16 +290,37 @@ _fimi_bad_token = st.sampled_from(["x", "²", "1٣", "-1", "+2", "9" * 5000])
 _fimi_gap = st.sampled_from([" ", "\t", "  ", " \t "])
 
 
+def _fimi_alias(token: str) -> str:
+    """A token naming the same item: ``7`` and ``07``; others kept."""
+    return "0" + token if token.isascii() and token.isdigit() else token
+
+
 @st.composite
 def fimi_text(draw, token=_fimi_token):
-    lines = []
-    for tokens in draw(st.lists(st.lists(token, max_size=6), max_size=12)):
+    """FIMI text whose lines repeat: each line is drawn from a few
+    variants of a few transactions.  A variant of a transaction may differ
+    from its first rendering in gaps, leading whitespace, line end, token
+    order and aliases (``1`` for ``01``), and may swap one token for a
+    fresh draw, which can put a bad token first on a later variant."""
+    def render(tokens):
         gaps = draw(st.lists(_fimi_gap, min_size=len(tokens),
                              max_size=len(tokens)))
         lead = draw(st.sampled_from(["", " ", "\t"]))
         end = draw(st.sampled_from(["\n", "\r\n"]))
-        lines.append(lead + "".join(g + t for g, t in zip(gaps, tokens)) + end)
-    return "".join(lines)
+        return lead + "".join(g + t for g, t in zip(gaps, tokens)) + end
+
+    variants = []
+    for tokens in draw(st.lists(st.lists(token, max_size=6), max_size=5)):
+        variants.append(render(tokens))
+        for _ in range(draw(st.integers(0, 2))):
+            other = [_fimi_alias(t) if draw(st.booleans()) else t
+                     for t in draw(st.permutations(tokens))]
+            if other and draw(st.booleans()):
+                other[draw(st.integers(0, len(other) - 1))] = draw(token)
+            variants.append(render(other))
+    if not variants:
+        return ""
+    return "".join(draw(st.lists(st.sampled_from(variants), max_size=12)))
 
 
 @given(fimi_text())
