@@ -18,7 +18,12 @@ e ⊆ n' exactly when A ∩ n' = e, so the neighbour's intent is B plus the
 attributes whose candidates equal e: a lattice of C concepts costs at most
 C * |M| candidate extents, no closure and no comparison of concept pairs.
 Attribute extents m' are read off the concepts themselves, which is why
-``build_covers`` needs the complete concept set of one context.
+``build_covers`` needs the complete concept set of one context.  So are the
+row classes: objects that lie in the same attribute extents share a row, and
+every candidate is ANDed, counted and compared as a mask of one bit per
+class, as enumeration does on the context's clarified view.  On a coin-toss
+table of 20,000 objects and 970 distinct rows that is a 970-bit mask where
+a 20,000-bit one was.
 """
 from __future__ import annotations
 
@@ -176,6 +181,14 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     upper cover: the list is empty, the top is missing, or a concept is
     listed twice, whose first copy gets no covers because the intent index
     finds the last.
+
+    The step runs on row classes read off those attribute extents:
+    objects in the same ones share a row, so every extent is a union of
+    classes, and the candidates are ANDed, counted and compared as masks
+    of one bit per class.  A concept takes its class extent from the upper
+    cover that first finds it, and its extent is checked there once, on
+    objects, against A ∩ m'.  A concept that no earlier one found (in id
+    order, the top alone) ANDs its intent's class columns.
     """
     lattice = ConceptLattice(concepts, [])
     index = lattice._index
@@ -190,18 +203,48 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
             bit = new & -new
             new ^= bit
             ext[bit] = c.extent
+    # objects in the same attribute extents share a row: write each
+    # object's digits across the extents as one line of a table, and the
+    # distinct lines are the row classes, whose k-th digits are the class
+    # column of the k-th attribute.  One more digit than the widest extent,
+    # an object in no extent, keeps a line when every extent is empty
+    m = len(ext)
+    width = max(ext.values(), default=0).bit_length() + 1
+    top = 1 << width
+    table = bytearray(b"\n" * (width * (m + 1)))
+    for k, e in enumerate(ext.values()):
+        table[k::m + 1] = bin(e | top)[3:].encode()
+    lines = dict.fromkeys(bytes(table).split())
+    digits = b"".join(lines)
+    class_col = {bit: int(digits[k::m], 2) for k, bit in enumerate(ext)}
+    every = (1 << len(lines)) - 1
     upper: list[list[int]] = [[] for _ in concepts]
+    # class extents: set by the first edge to a concept, which checks its
+    # extent, and set to 0 at its visit, so that only the masks of concepts
+    # found and not yet visited are held
+    found: list[int | None] = [None] * len(concepts)
     for i, c in enumerate(concepts):
         a, b = c.extent, c.intent
+        classes = found[i]
+        if classes is None:
+            classes = every
+            rest = b
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                classes &= class_col[bit]
+        else:
+            found[i] = 0
         candidates = []
         rest = attributes & ~b
         while rest:
             bit = rest & -rest
             rest ^= bit
-            e = a & ext[bit]
+            e = classes & class_col[bit]
             candidates.append((e.bit_count(), bit, e))
-        # largest first, so one that no kept neighbour contains is maximal;
-        # the bits are distinct, so no two extents are ever compared
+        # largest first, so one that no kept neighbour contains is maximal: a
+        # strictly smaller union of classes has fewer classes; the bits are
+        # distinct, so no two extents are ever compared
         candidates.sort(reverse=True)
         # [extent, size, intent]: maximal candidates, merged with equal ones
         neighbours: list[list[int]] = []
@@ -215,7 +258,15 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
                 neighbours.append([e, size, b | bit])
         for e, _, d in neighbours:
             j = index.get(d)
-            if j is None or concepts[j].extent != e:
+            if j is not None and found[j] is None:
+                # A ∩ n' = e for each attribute n the neighbour adds; a
+                # listed extent other than that is a neighbour not listed
+                new = d ^ b
+                if concepts[j].extent == a & ext[new & -new]:
+                    found[j] = e
+                else:
+                    j = None
+            if j is None:
                 raise ValueError(
                     f"concept {i} has a lower neighbour missing from the list"
                 )

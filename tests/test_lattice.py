@@ -230,6 +230,39 @@ def test_covers_fuzz_multiword_extents():
         assert_covers_match_oracle(build_covers(enumerate_concepts(ctx)))
 
 
+def test_covers_fuzz_repeated_rows():
+    # many objects over a few distinct rows, as in the object-heavy
+    # benchmark contexts, where covers run on few row classes.  Every other
+    # context ends with an all-zero row, an object in no attribute extent
+    # and above the last bit of each; the rest give every row attribute 0,
+    # so that the top intent is not empty
+    rng = random.Random(205)
+    for k in range(16):
+        n, m = rng.randint(65, 300), rng.randint(1, 8)
+        patterns = [rng.getrandbits(m) for _ in range(rng.randint(1, 12))]
+        if k % 2 == 0:
+            patterns = [p | 1 for p in patterns]
+        rows = [rng.choice(patterns) for _ in range(n)]
+        if k % 2:
+            rows[-1] = 0
+        ctx = FormalContext.from_rows(
+            [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows)
+        lattice = build_covers(enumerate_concepts(ctx))
+        assert_covers_match_oracle(lattice)
+        assert (lattice.concepts[0].intent != 0) == (k % 2 == 0)
+        # in any order of the list: a concept that no concept before it
+        # covers finds its class extent from its intent
+        concepts = lattice.concepts[:]
+        rng.shuffle(concepts)
+        assert_covers_match_oracle(build_covers(concepts))
+        # the benchmark's run seeds shuffle the rows: ids follow the
+        # intents, so the covers must not move
+        rng.shuffle(rows)
+        shuffled = FormalContext.from_rows(ctx.objects, ctx.attributes, rows)
+        assert build_covers(enumerate_concepts(shuffled)).upper_covers == \
+            lattice.upper_covers
+
+
 def test_covers_of_brute_force_concepts():
     rng = random.Random(204)
     for _ in range(40):
@@ -257,6 +290,44 @@ def test_covers_need_the_complete_concept_set(toy_ctx, toy_concepts):
                      toy_concepts + toy_concepts[5:6]):
         with pytest.raises(ValueError, match="no upper cover"):
             build_covers(concepts)
+
+
+def flipped_extents(ctx, concepts, i):
+    """``concepts`` with one object bit of concept i's extent flipped, once
+    for each object; the intent is kept."""
+    c = concepts[i]
+    for g in range(ctx.n_objects):
+        wrong = FormalConcept(c.extent ^ (1 << g), c.intent)
+        yield concepts[:i] + [wrong] + concepts[i + 1:]
+
+
+def test_covers_reject_a_corrupted_extent(toy_ctx, toy_concepts, davis_ctx,
+                                          davis_concepts):
+    # covers run on row classes, and a concept's object extent is checked
+    # once, at the first edge that finds it; every single-bit corruption of
+    # a toy extent still raises
+    corrupted = 0
+    for i in range(len(toy_concepts)):
+        for concepts in flipped_extents(toy_ctx, toy_concepts, i):
+            with pytest.raises(ValueError):
+                build_covers(concepts)
+            corrupted += 1
+    assert corrupted == 65
+    # on davis, every concept but the 13 attribute concepts.  The attribute
+    # extents m' are read off those, so a corrupted one is not checked
+    # against anything, and two of their corruptions (object 5 of concepts
+    # 51 and 55) pass silently, as they did when covers ran on objects
+    attribute_intents = {davis_ctx.close_attrs(1 << m)
+                         for m in range(davis_ctx.n_attributes)}
+    corrupted = 0
+    for i, c in enumerate(davis_concepts):
+        if c.intent in attribute_intents:
+            continue
+        for concepts in flipped_extents(davis_ctx, davis_concepts, i):
+            with pytest.raises(ValueError):
+                build_covers(concepts)
+            corrupted += 1
+    assert corrupted == 50 * 18
 
 
 def test_single_concept_lattice():
