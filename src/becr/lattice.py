@@ -185,10 +185,9 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     The step runs on row classes read off those attribute extents:
     objects in the same ones share a row, so every extent is a union of
     classes, and the candidates are ANDed, counted and compared as masks
-    of one bit per class.  A concept takes its class extent from the upper
-    cover that first finds it, and its extent is checked there once, on
-    objects, against A ∩ m'.  A concept that no earlier one found (in id
-    order, the top alone) ANDs its intent's class columns.
+    of one bit per class.  Each concept ANDs its intent's class columns for
+    its class extent, and its listed extent is checked once, on objects,
+    against A ∩ m' at the first edge to it.
     """
     lattice = ConceptLattice(concepts, [])
     index = lattice._index
@@ -219,22 +218,14 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     class_col = {bit: int(digits[k::m], 2) for k, bit in enumerate(ext)}
     every = (1 << len(lines)) - 1
     upper: list[list[int]] = [[] for _ in concepts]
-    # class extents: set by the first edge to a concept, which checks its
-    # extent, and set to 0 at its visit, so that only the masks of concepts
-    # found and not yet visited are held
-    found: list[int | None] = [None] * len(concepts)
     for i, c in enumerate(concepts):
         a, b = c.extent, c.intent
-        classes = found[i]
-        if classes is None:
-            classes = every
-            rest = b
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                classes &= class_col[bit]
-        else:
-            found[i] = 0
+        classes = every
+        rest = b
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            classes &= class_col[bit]
         candidates = []
         rest = attributes & ~b
         while rest:
@@ -256,15 +247,14 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
                     break
             else:
                 neighbours.append([e, size, b | bit])
-        for e, _, d in neighbours:
+        for _, _, d in neighbours:
             j = index.get(d)
-            if j is not None and found[j] is None:
-                # A ∩ n' = e for each attribute n the neighbour adds; a
-                # listed extent other than that is a neighbour not listed
+            if j is not None and not upper[j]:
+                # the first edge to j, which checks its listed extent: that
+                # is A ∩ n' for each attribute n the neighbour adds, and
+                # any other extent is a neighbour not listed
                 new = d ^ b
-                if concepts[j].extent == a & ext[new & -new]:
-                    found[j] = e
-                else:
+                if concepts[j].extent != a & ext[new & -new]:
                     j = None
             if j is None:
                 raise ValueError(

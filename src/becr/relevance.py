@@ -46,10 +46,13 @@ MAX_STABILITY_INTENT = 30
 _ZERO = Fraction(0)
 
 # scores repeat heavily across concepts, so the (numerator, denominator) ->
-# Fraction construction is memoized.  Without it, mean BECR / stability time
-# on the 793x10 context of acceptance criterion 7 read 0.99-1.07 instead of
-# 0.80-0.90 (3 processes x 8 run_comparison runs each, Python 3.11 on a
-# 2-vCPU VM), so the criterion fails in most runs.  For an intent of size b,
+# Fraction construction is memoized.  With plain Fraction in its place, mean
+# BECR / stability time on the 793x10 context of acceptance criterion 7
+# read 0.87-0.88 instead of 0.68-0.71 (4 processes x 3 run_comparison runs,
+# alternating the two), and the benchmark's pipelines ran 1.11x as long on
+# paper-793x10-timed, 1.06x on lattice-1000x16, 1.03x on objects-20000x10
+# and 1.02x on wide-14x32 (median ratios of 30 alternating in-process runs;
+# Python 3.11 on a shared 2-vCPU VM).  For an intent of size b,
 # alpha and beta are k/b with k <= b, and BECR is keyed by their unreduced
 # mean.  Intents of up to 32 attributes can make 2,384 keys in all (117 are
 # made by scoring the 793x10, 1000x16 and 14x32 contexts), and up to 40 make
@@ -128,8 +131,10 @@ def is_base_attribute(
     """True when m falls out of the closure of B minus its removal set.
 
     Membership test m ∈ X'' is equivalent to X' ⊆ m', which saves the second
-    derivation.  Raises ValueError for a rule that is not a BaseRule member.
+    derivation.  Raises ValueError for an intent outside ``ctx``, or for a
+    rule that is not a BaseRule member.
     """
+    ctx.check_attrs(concept.intent)
     _require_member(concept, m)
     rest = concept.intent & ~_removal_set(ctx, concept, m, rule)
     return bool(ctx.derive_extent(rest) & ~ctx.cols[m])
@@ -139,8 +144,9 @@ def equivalent_attributes(ctx: FormalContext, concept: FormalConcept) -> AttrSet
     """Mask of intent members m with m' = A and a non-singleton closure m''.
 
     When m' = A the closure m'' equals the whole intent B, so the size test
-    reduces to |B| > 1.
+    reduces to |B| > 1.  Raises ValueError for an intent outside ``ctx``.
     """
+    ctx.check_attrs(concept.intent)
     if concept.intent.bit_count() <= 1:
         return 0
     mask = 0

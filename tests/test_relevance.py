@@ -258,6 +258,21 @@ def test_alpha_term_rejects_an_intent_outside_the_context(intent):
         alpha_term(ctx, FormalConcept(ctx.all_objects, intent), [intent])
 
 
+@pytest.mark.parametrize("intent, m", [(0b100, 2), (-1, 0)])
+def test_is_base_attribute_rejects_an_intent_outside_the_context(intent, m):
+    # m is a member of the intent, so only the context check can raise
+    ctx, _ = _two_attribute_context()
+    with pytest.raises(ValueError, match=_OUTSIDE):
+        is_base_attribute(ctx, FormalConcept(ctx.all_objects, intent), m)
+
+
+@pytest.mark.parametrize("intent", [0b100, -1])
+def test_equivalent_attributes_rejects_an_intent_outside_the_context(intent):
+    ctx, _ = _two_attribute_context()
+    with pytest.raises(ValueError, match=_OUTSIDE):
+        equivalent_attributes(ctx, FormalConcept(ctx.all_objects, intent))
+
+
 @pytest.mark.parametrize("intent", [0b100, -1])
 def test_becr_rejects_an_intent_outside_the_context(intent):
     ctx, lattice = _two_attribute_context()
