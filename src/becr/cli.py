@@ -72,7 +72,7 @@ def _load_context(path_str: str, fmt: str) -> FormalContext:
                 f"cannot infer format from {path.name!r}; pass --format",
             )
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # skips a leading BOM
     except (OSError, UnicodeDecodeError) as err:
         raise _CliFailure(EXIT_PARSE, f"cannot read {path}: {err}") from None
     try:

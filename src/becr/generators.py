@@ -126,11 +126,15 @@ def minimal_generators(
     (``lectic_key``): within one size, members ascending.  A concept
     without upper covers (the supremum) has the empty set as its only
     generator.
+
+    Two stable passes: the bit strings read attribute 0 first, descending,
+    then the sizes.  Within one size no such string is a prefix of another,
+    since each ends at its last member, so the first pass is the lectic one.
     """
     family = generator_family(lattice, concept)
     if len(family) > 1:
-        width = concept.intent.bit_length()
-        family.sort(key=lambda g: (g.bit_count(), -lectic_key(g, width)))
+        family.sort(key=lambda g: bin(g)[:1:-1], reverse=True)
+        family.sort(key=int.bit_count)
     return family
 
 

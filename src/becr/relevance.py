@@ -15,11 +15,12 @@ generator scores 1 / |B|, and H = {B} scores 0.
 Stability is the fraction of intent subsets whose extent equals A.  The
 subsets that qualify are closed upwards in B (e ⊆ f ⊆ B and e' = A give
 A = B' ⊆ f' ⊆ e' = A).  ``stability`` uses this: it walks the intent's
-columns once, merging the subsets chosen so far by their extent, and counts
-all supersets of a subset that first reaches A in one step, so it never
-lists the subsets one by one.  ``stability_dfs`` visits every one of the
-2^|B| subsets; it is the paper's full-subset baseline, which ``becr bench``
-times.  Both counts are exact.
+columns once, merging the subsets chosen so far by their extent.  A is
+carried like any other extent: every later column keeps it whether taken or
+left out, so its weight doubles per column, and the subsets are never
+listed one by one.  ``stability_dfs`` visits every one of the 2^|B|
+subsets; it is the paper's full-subset baseline, which ``becr bench`` times.
+Both counts are exact.
 
 ``alpha_term`` and ``stability`` keep every extent as a mask over the
 context's row classes (see ``FormalContext``), where equality and
@@ -278,18 +279,19 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
 
     Walks the intent's columns in order, keeping for each extent the number
     of subsets of the columns seen so far that reach it.  Every such extent
-    is the extent of a concept above (A, B), so a concept costs at most
-    |B| times its number of ancestors dict updates.  Guarded to |B| <= 30;
-    raises ValueError for an intent with bits outside the context.
+    is the extent of (A, B) or of a concept above it, so a concept costs at
+    most |B| times its number of ancestors, itself included, dict updates.
+    Guarded to |B| <= 30; raises ValueError for an intent with bits outside
+    the context.
 
     The extents are kept as masks over the row classes of ``ctx``, and A is
     read off B as the AND of B's class columns: ``concept.extent`` is not
     read, and the concept must be one of ``ctx``.
 
-    The top concept, whose A is all classes, takes the same walk.  A subset
-    that takes a column and reaches A is a hit, so the only state that can
-    equal A is the empty subset's, and only when A is all classes: the top
-    concept ends with 2^|B| - 1 hits and that state of weight 1.
+    A is a state like any other.  Every column of B contains A, so once a
+    subset reaches A both branches of each later column keep it there and
+    its weight doubles: the subsets that qualify are closed upwards in B.
+    After the last column the weight of A is the count.
     """
     b = concept.intent
     ctx.check_attrs(b)
@@ -313,22 +315,16 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
     # still reaches A.  Keeping the states that fail it would not change the
     # count, but made it 2-12x slower on the benchmark's contexts.
     states = {full: 1}
-    hits = 0
     for i, col in enumerate(cols):
         rest = suffix[i + 1]
-        left = k - 1 - i
         after = {}
         for x, weight in states.items():
             if x & rest == target:  # leave column i out
                 after[x] = after.get(x, 0) + weight
             y = x & col  # take it
-            if y == target:
-                # every superset within B has extent A (upward closure)
-                hits += weight << left
-            else:
-                after[y] = after.get(y, 0) + weight
+            after[y] = after.get(y, 0) + weight
         states = after
-    return StabilityScore(hits + states.get(target, 0), 1 << k)
+    return StabilityScore(states[target], 1 << k)
 
 
 def stability_dfs(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:

@@ -59,6 +59,30 @@ def test_malformed_file_is_a_parse_failure(tmp_path, capsys):
     assert err == f"becr: {bad}: first line must be 'B'\n"
 
 
+def test_overlong_count_is_a_parse_failure(tmp_path, capsys):
+    bad = tmp_path / "long.cxt"
+    bad.write_text("B\n\n" + "9" * 5000 + "\n1\n\ng\nm\nX\n",
+                   encoding="utf-8")
+    assert main(["concepts", str(bad)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == f"becr: {bad}: object/attribute count too long\n"
+
+
+@pytest.mark.parametrize("name,text", [
+    ("toy.cxt", Path(TOY).read_text(encoding="utf-8")),
+    ("tiny.dat", "1 2\n2 3\n"),
+], ids=["cxt", "fimi"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, name, text):
+    plain = tmp_path / name
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / ("bom-" + name)
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert main(["concepts", str(plain)]) == EXIT_OK
+    expected = capsys.readouterr()
+    assert main(["concepts", str(marked)]) == EXIT_OK
+    assert capsys.readouterr() == expected
+
+
 def test_unknown_suffix_needs_explicit_format(tmp_path, capsys):
     ctx_file = tmp_path / "toy.dat2"
     ctx_file.write_text(Path(TOY).read_text(encoding="utf-8"),
@@ -241,6 +265,8 @@ def test_generate_is_deterministic(tmp_path):
     ["generate", "--objects", "0", "--attributes", "3", "--density", "0.5"],
     ["generate", "--objects", "3", "--attributes", "3", "--density", "1.5"],
     ["bench", "x.cxt", "--timing-repeats", "0"],
+    ["concepts", "x.cxt", "--concept-budget", "abc"],
+    ["generate", "--objects", "3", "--attributes", "3", "--density", "x"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -257,6 +283,20 @@ def test_range_error_keeps_the_no_timing_hint(capsys):
     assert capsys.readouterr().err.endswith(
         "becr bench: error: argument --timing-repeats: must be >= 1; "
         "pass --no-timing to skip timing\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["concepts", "x.cxt", "--concept-budget", "abc"],
+     "becr concepts: error: argument --concept-budget: "
+     "invalid int value: 'abc'\n"),
+    (["generate", "--objects", "3", "--attributes", "3", "--density", "x"],
+     "becr generate: error: argument --density: invalid float value: 'x'\n"),
+])
+def test_unparsable_numbers_are_named(argv, message, capsys):
+    # the exit code is pinned by test_usage_errors_exit_1
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().err.endswith(message)
 
 
 # turns every text open that falls back to the locale's encoding into an error

@@ -133,6 +133,8 @@ def test_serialize_cxt_table_matches_the_cell_oracle(m, n, data):
     ("B\n\n\u0661\n1\n\ng\nm\nX", MalformedHeader),
     ("B\n\n1\n+1\n\ng\nm\nX", MalformedHeader),
     ("B\n\n 0_1 \n1\n\ng\nm\nX", MalformedHeader),
+    # over the interpreter's int digit limit
+    ("B\n\n" + "9" * 5000 + "\n1\n\ng\nm\nX", MalformedHeader),
 ])
 def test_parse_cxt_rejects(text, exc):
     with pytest.raises(exc):
