@@ -191,6 +191,10 @@ def _edge_cases(ctx):
 
 
 def test_stability_matches_oracle_fuzz():
+    # concepts by their family H: H = {B}, one proper generator, several
+    # with a common member, and several with none, so that both the closed
+    # form and the count from F' = (∩H)' run
+    kinds = {"free": 0, "one": 0, "common": 0, "disjoint": 0}
     rng = random.Random(505)
     for _ in range(60):
         plain = random_context(rng, max_objects=10, max_attributes=8)
@@ -200,22 +204,49 @@ def test_stability_matches_oracle_fuzz():
                 fast = stability(ctx, concept)
                 assert fast == stability_dfs(ctx, concept) == \
                     stability_oracle(ctx, concept)
-                assert fast.denominator == 1 << concept.intent.bit_count()
+                size = concept.intent.bit_count()
+                assert fast.denominator == 1 << size
                 assert 0 < fast.value <= 1
                 total += fast.numerator
+                family = brute_force_minimal_generators(ctx, concept)
+                if len(family) == 1:
+                    # the subsets that hold h
+                    h = family[0]
+                    assert fast.numerator == 1 << (size - h.bit_count())
+                    kinds["free" if h == concept.intent else "one"] += 1
+                else:
+                    common = concept.intent
+                    for h in family:
+                        common &= h
+                    kinds["common" if common else "disjoint"] += 1
             # every attribute subset e is counted once, at the concept
             # (e', e'')
             assert total == 1 << ctx.n_attributes
+    assert all(kinds.values()), kinds
+
+
+# (objects, attributes, density, context seed), concept count: a
+# 28-attribute bottom concept, whose 2^28 subsets the full-subset count
+# would visit one by one, and the coin-toss contexts of the benchmark's
+# lattice-1000x16 and objects-20000x10 workloads at context seeds 42 and 7
+_WHOLE_LATTICES = [
+    ((14, 28, 0.6, 42), 755),
+    ((1000, 16, 0.3, 42), 5347),
+    ((1000, 16, 0.3, 7), 5964),
+    ((20000, 10, 0.3, 42), 988),
+    ((20000, 10, 0.3, 7), 976),
+]
 
 
 def test_stability_is_not_exponential_in_the_intent():
-    # a 28-attribute bottom concept, whose 2^28 subsets the full-subset
-    # count would visit one by one
-    ctx = coin_toss_context(CoinTossSpec(14, 28, 0.6, 42))
-    concepts = enumerate_concepts(ctx)
-    assert len(concepts) == 755
-    assert concepts[-1].intent == ctx.all_attributes
-    assert sum(stability(ctx, c).numerator for c in concepts) == 1 << 28
+    for spec, count in _WHOLE_LATTICES:
+        ctx = coin_toss_context(CoinTossSpec(*spec))
+        concepts = enumerate_concepts(ctx)
+        assert len(concepts) == count, spec
+        assert concepts[-1].intent == ctx.all_attributes, spec
+        # every attribute subset e is counted once, at the concept (e', e'')
+        total = sum(stability(ctx, c).numerator for c in concepts)
+        assert total == 1 << ctx.n_attributes, spec
 
 
 def test_stability_value_property():
