@@ -26,7 +26,7 @@ from .context import FormalContext
 from .generators import IntentTooLarge
 from .lattice import (
     DEFAULT_CONCEPT_BUDGET,
-    ConceptLattice,
+    FormalConcept,
     build_covers,
     enumerate_concepts,
 )
@@ -137,15 +137,18 @@ def _check_args(rule: BaseRule, timing_repeats: int) -> None:
 
 def score_concepts(
     ctx: FormalContext,
-    lattice: ConceptLattice,
+    concepts: list[FormalConcept],
     rule: BaseRule = BaseRule.WORKED_EXAMPLE,
     index: str = "both",
     timing_repeats: int = 0,
 ) -> list[ScoreRow]:
     """One ScoreRow per concept id, in id order.
 
+    ``concepts`` is the complete concept set of ``ctx`` as
+    ``enumerate_concepts`` returns it, and ids are positions in it.
     ``index`` is one of INDEXES; the fields of an index not selected are
-    None and never computed, so "becr" skips the stability intent guard.
+    None and never computed, so "becr" skips the stability intent guard,
+    and only an index with BECR builds the covers that it reads.
     Each selected index is computed once per concept, then timed over
     ``timing_repeats`` calls (BECR itself, stability by ``stability_dfs``);
     with 0 (the default) its time is 0.
@@ -158,8 +161,9 @@ def score_concepts(
         raise ValueError(f"index must be one of {tuple(INDEXES)}, "
                          f"got {index!r}")
     _check_args(rule, timing_repeats)
+    lattice = build_covers(concepts) if index != "stability" else None
     rows = []
-    for i, concept in enumerate(lattice.concepts):
+    for i, concept in enumerate(concepts):
         scores = {}
         try:
             if index != "stability":
@@ -195,8 +199,7 @@ def run_comparison(
     """
     _check_args(rule, timing_repeats)
     concepts = enumerate_concepts(ctx, budget=concept_budget)
-    rows = score_concepts(ctx, build_covers(concepts), rule,
-                          timing_repeats=timing_repeats)
+    rows = score_concepts(ctx, concepts, rule, timing_repeats=timing_repeats)
 
     try:
         xi = pearson([float(r.becr) for r in rows],

@@ -32,7 +32,6 @@ from .generators import IntentTooLarge
 from .lattice import (
     DEFAULT_CONCEPT_BUDGET,
     ConceptBudgetExceeded,
-    build_covers,
     concepts_csv,
     enumerate_concepts,
 )
@@ -122,8 +121,8 @@ def _cmd_concepts(args) -> int:
 
 def _cmd_relevance(args) -> int:
     ctx = _load_context(args.input, args.format)
-    lattice = build_covers(enumerate_concepts(ctx, budget=args.concept_budget))
-    rows = score_concepts(ctx, lattice, BaseRule(args.base_rule), args.index)
+    concepts = enumerate_concepts(ctx, budget=args.concept_budget)
+    rows = score_concepts(ctx, concepts, BaseRule(args.base_rule), args.index)
     # highest score first; the sort is stable, so ties stay in id order
     rows.sort(key=attrgetter("stability" if args.index == "stability"
                              else "becr"), reverse=True)

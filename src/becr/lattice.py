@@ -1,36 +1,46 @@
 """Concept enumeration and lattice cover structure.
 
 Concepts are the fixed points of the derivation Galois connection: pairs
-(extent, intent) with extent' = intent and intent' = extent.  They are
-enumerated by Close-by-One (Kuznetsov 1993), at most |M| child extents
-A ∩ m' per concept, in ascending lectic order of intents (attribute 0 has
-the highest priority), which makes concept ids -- 0-based positions in
-that order -- deterministic for a given context.  Id 0 is always the
-supremum (G, G') and the last id the infimum (M', M).
+(extent, intent) with extent' = intent and intent' = extent.  Concept ids
+are 0-based positions in ascending lectic order of intents (attribute 0
+has the highest priority), which makes them deterministic for a given
+context.  Id 0 is always the supremum (G, G') and the last id the infimum
+(M', M).
+
+Both stages run on the clarified view, a mask of one bit per row class
+where an extent would take one bit per object, and on whichever side of
+it has fewer items.  Enumeration is Close-by-One (Kuznetsov 1993): with
+no fewer row classes than attributes, it closes attribute sets and hands
+out concepts in lectic order; with fewer classes, it closes class sets
+and sorts the concepts once.  A lattice of C concepts costs at most
+C * min(classes, |M|) children.  The rule that picks a side compares the
+class count with |M| and reads nothing else: a coin-toss table of 14
+objects over 32 attributes (14 classes) takes the class side, and one of
+20,000 objects over 10 attributes (970 classes) the attribute side.
 
 The lattice stores upper covers only: minimal generators, the one consumer
 of the order, read the faces to a concept's upper covers.  They come from
-Lindig's neighbour step (Lindig 2000, "Fast concept analysis"): the lower
-neighbours of (A, B) are the concepts whose extents are the maximal ones
-among the candidate extents A ∩ m', m ∉ B, and (A, B) is recorded as an
-upper cover of each.  For a maximal candidate e, an attribute n ∉ B has
-e ⊆ n' exactly when A ∩ n' = e, so the neighbour's intent is B plus the
-attributes whose candidates equal e: a lattice of C concepts costs at most
-C * |M| candidate extents, no closure and no comparison of concept pairs.
-Attribute extents m' are read off the concepts themselves, which is why
-``build_covers`` needs the complete concept set of one context.  So are the
-row classes: objects that lie in the same attribute extents share a row, and
-every candidate is ANDed, counted and compared as a mask of one bit per
-class, as enumeration does on the context's clarified view.  On a coin-toss
-table of 20,000 objects and 970 distinct rows that is a 970-bit mask where
-a 20,000-bit one was.
+Lindig's neighbour step (Lindig 2000, "Fast concept analysis").  On the
+attribute side, the lower neighbours of (A, B) are the concepts whose
+extents are the maximal ones among the candidates A ∩ m', m ∉ B.  For a
+maximal candidate e, an attribute n ∉ B has e ⊆ n' exactly when
+A ∩ n' = e, so the neighbour's intent is B plus the attributes whose
+candidates equal e.  On the class side, the upper neighbours of (A, B)
+are the concepts whose intents are the maximal ones among B ∩ row, for
+the row classes outside A.  Either way a lattice of C concepts costs at
+most C * min(classes, |M|) candidates, with no closure and no comparison
+of concept pairs.  Attribute extents m' are read off the concepts
+themselves, which is why ``build_covers`` needs the complete concept set
+of one context, and so are the row classes: objects that lie in the same
+attribute extents share a row.
 """
 from __future__ import annotations
 
 import csv as _csv
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 from .context import AttrSet, FormalContext, ObjSet
 
@@ -74,15 +84,23 @@ def enumerate_concepts(
 ) -> list[FormalConcept]:
     """All concepts of ``ctx`` in ascending lectic order of intents.
 
-    Depth first from (G, G'): (A, B) tries each m ∉ B past its own m, with
-    one AND for the child extent A ∩ m' and a walk over its rows for the
-    intent, kept iff that adds nothing below m.  Children pop largest m
-    first, a lectic pre-order: all under the child at m hold m and agree
-    with B below m, and none under a larger m holds m.
+    Close-by-One on the context's row classes (``ctx.class_rows`` and
+    ``ctx.class_cols``), on whichever side has fewer items: it closes
+    subsets of the attributes, or, when there are fewer row classes than
+    attributes, subsets of the classes.  Depth first from the closure of
+    the empty set, (X, Y) tries each item m ∉ Y past its own m, with one
+    AND for the child X ∩ m' and a walk over its members for Y', kept iff
+    that adds nothing below m.  Children pop largest m first, a lectic
+    pre-order: all under the child at m hold m and agree with Y below m,
+    and none under a larger m holds m.  A lattice of C concepts thus costs
+    at most C * min(classes, |M|) children.
 
-    The search runs on the context's row classes (``ctx.class_cols`` and
-    ``ctx.class_rows``); a kept child takes one more AND on the object
-    columns for its extent.
+    On the attributes, Y is the intent and X the class extent, and a kept
+    child takes one more AND on the object columns for its extent, so the
+    concepts come out in lectic order.  On the classes, X is the intent
+    and Y the class extent; for each class a kept child adds, it ORs in
+    the objects whose rows hold that class's row, and the concepts are
+    sorted by ``lectic_key`` once at the end.
 
     Raises ConceptBudgetExceeded as soon as the count would pass ``budget``,
     and ValueError, before any work, for a budget that is not a positive
@@ -90,30 +108,48 @@ def enumerate_concepts(
     """
     if not isinstance(budget, int) or budget < 1:
         raise ValueError("budget must be a positive int")
-    rows, cols, full = ctx.class_rows, ctx.class_cols, ctx.all_attributes
+    transposed = len(ctx.class_rows) < ctx.n_attributes
+    rows, cols = ctx.class_rows, ctx.class_cols
+    full, every = ctx.all_attributes, ctx.all_classes
     obj_cols = ctx.cols
+    if transposed:
+        rows, cols, full, every = cols, rows, every, full
+        above = [ctx.derive_extent(row) for row in cols]
+    closed = reduce(and_, rows, full)
     concepts = []
-    # (A as classes, A as objects, B, first m)
-    stack = [(ctx.all_classes, ctx.all_objects, ctx.close_attrs(0), 0)]
+    # (X, the extent as objects, Y, first m)
+    stack = [(every, ctx.derive_extent(every if transposed else closed),
+              closed, 0)]
     while stack:
-        classes, extent, intent, start = stack.pop()
+        items, extent, closed, start = stack.pop()
         if len(concepts) >= budget:
             raise ConceptBudgetExceeded(
                 f"more than {budget} concepts; raise the budget to continue"
             )
-        concepts.append(FormalConcept(extent, intent))
-        for m in range(start, ctx.n_attributes):
+        concepts.append(FormalConcept(extent, items if transposed else closed))
+        for m in range(start, len(cols)):
             bit = 1 << m
-            if intent & bit:
+            if closed & bit:
                 continue
-            child = rest = classes & cols[m]
-            acc, target = full, intent | bit
-            while rest and acc != target:  # each row keeps acc ⊇ target
+            child = rest = items & cols[m]
+            acc, target = full, closed | bit
+            while rest and acc != target:  # each member keeps acc ⊇ target
                 low = rest & -rest
                 rest ^= low
                 acc &= rows[low.bit_length() - 1]
-            if (acc ^ intent) & (bit - 1) == 0:
-                stack.append((child, extent & obj_cols[m], acc, m + 1))
+            if (acc ^ closed) & (bit - 1) == 0:
+                if transposed:
+                    objects, new = extent, acc & ~closed
+                    while new:
+                        low = new & -new
+                        new ^= low
+                        objects |= above[low.bit_length() - 1]
+                else:
+                    objects = extent & obj_cols[m]
+                stack.append((child, objects, acc, m + 1))
+    if transposed:
+        width = ctx.n_attributes
+        concepts.sort(key=lambda c: lectic_key(c.intent, width))
     return concepts
 
 
@@ -168,26 +204,36 @@ class ConceptLattice:
 
 
 def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
-    """Upper covers by Lindig's neighbour step (C * |M| candidate extents).
+    """Upper covers by Lindig's neighbour step, C * min(classes, |M|)
+    candidates.
 
-    Concepts are visited in id order, so each cover tuple comes out
-    ascending.  ``concepts`` must be the complete concept set of one context,
-    as ``enumerate_concepts`` returns it; the ids of the result are positions
-    in that list.  Each attribute extent m' is read off one concept, the
-    attribute concept ({m}', {m}''), so the list must hold every attribute
-    concept: without one, m' is read off a smaller extent and the covers
-    are not checked.  Any other lower neighbour that the list lacks raises
-    ValueError, as does a list without exactly one concept that has no
-    upper cover: the list is empty, the top is missing, or a concept is
-    listed twice, whose first copy gets no covers because the intent index
-    finds the last.
+    ``concepts`` must be the complete concept set of one context, as
+    ``enumerate_concepts`` returns it, in any order; the ids of the result
+    are positions in that list, and each cover tuple is ascending.  Each
+    attribute extent m' is read off one concept, the attribute concept
+    ({m}', {m}''), so the list must hold every attribute concept: without
+    one, m' is read off a smaller extent and the covers are not checked.
+    The row classes are read off those extents: objects in the same ones
+    share a row, so every extent is a union of classes.
 
-    The step runs on row classes read off those attribute extents:
-    objects in the same ones share a row, so every extent is a union of
-    classes, and the candidates are ANDed, counted and compared as masks
-    of one bit per class.  Each concept ANDs its intent's class columns for
-    its class extent, and its listed extent is checked once, on objects,
-    against A ∩ m' at the first edge to it.
+    The step runs on the smaller side, the classes it reads or the
+    attributes, as enumeration does.  With no fewer classes than
+    attributes, a concept's lower neighbours are the maximal class extents
+    among A ∩ m', m ∉ B, whose intents are B plus the attributes whose
+    candidates are equal; with fewer classes, its upper
+    neighbours are the maximal intents among B ∩ row, for the row classes
+    outside A.  The candidates are ANDed, counted and compared as masks of
+    one bit per class or per attribute.
+
+    The list is checked as it is read.  ValueError is raised for a list
+    without the bottom concept (M', M), for a neighbour that the list
+    lacks, and for a list without exactly one concept that has no upper
+    cover and exactly one that has no lower cover: the list is empty, the
+    top is missing, or a concept is listed twice, whose other copy gets no
+    covers because the intent index finds the last.  Each concept's listed
+    extent is checked once, on objects, at the first edge up from it: the
+    lower extent must be the upper one ∩ m' for an attribute m that the
+    lower concept adds, and the two must differ.
     """
     lattice = ConceptLattice(concepts, [])
     index = lattice._index
@@ -203,41 +249,61 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
             new ^= bit
             ext[bit] = c.extent
     # objects in the same attribute extents share a row: write each
-    # object's digits across the extents as one line of a table, and the
-    # distinct lines are the row classes, whose k-th digits are the class
-    # column of the k-th attribute.  One more digit than the widest extent,
-    # an object in no extent, keeps a line when every extent is empty
-    m = len(ext)
+    # object's digits across the extents, the largest attribute first, as
+    # one line of a table, and the distinct lines are the row classes,
+    # whose k-th digits are the class column of the k-th attribute.  One
+    # more digit than the widest extent, an object in no extent, keeps a
+    # line when every extent is empty
+    bits = sorted(ext, reverse=True)
+    m = len(bits)
     width = max(ext.values(), default=0).bit_length() + 1
     top = 1 << width
     table = bytearray(b"\n" * (width * (m + 1)))
-    for k, e in enumerate(ext.values()):
-        table[k::m + 1] = bin(e | top)[3:].encode()
+    for k, bit in enumerate(bits):
+        table[k::m + 1] = bin(ext[bit] | top)[3:].encode()
     lines = dict.fromkeys(bytes(table).split())
     digits = b"".join(lines)
-    class_col = {bit: int(digits[k::m], 2) for k, bit in enumerate(ext)}
+    class_col = {bit: int(digits[k::m], 2) for k, bit in enumerate(bits)}
     every = (1 << len(lines)) - 1
-    upper: list[list[int]] = [[] for _ in concepts]
+    # the bottom's intent is M, attributes 0 to |M| - 1 of its context
+    if concepts and (attributes not in index or attributes & (attributes + 1)):
+        raise ValueError("the bottom concept is missing from the list")
+    transposed = len(lines) < m
+    if transposed:
+        # class k is the k-th line from the end, and its digits run from
+        # attribute m - 1 down, so the line reads as the class's row
+        side = every
+        cols = {1 << k: int(line, 2) for k, line in enumerate(reversed(lines))}
+    else:
+        side, cols = attributes, class_col
+    direction = "an upper" if transposed else "a lower"
+    # found[j]: the concepts whose step found concept j, ascending
+    found: list[list[int]] = [[] for _ in concepts]
     for i, c in enumerate(concepts):
-        a, b = c.extent, c.intent
+        b = c.intent
+        # a concept listed twice: the index finds the last copy, and any
+        # other gets no covers
+        if index[b] != i:
+            continue
         classes = every
         rest = b
         while rest:
             bit = rest & -rest
             rest ^= bit
             classes &= class_col[bit]
+        x, y = (b, classes) if transposed else (classes, b)
         candidates = []
-        rest = attributes & ~b
+        rest = side & ~y
         while rest:
             bit = rest & -rest
             rest ^= bit
-            e = classes & class_col[bit]
+            e = x & cols[bit]
             candidates.append((e.bit_count(), bit, e))
         # largest first, so one that no kept neighbour contains is maximal: a
-        # strictly smaller union of classes has fewer classes; the bits are
-        # distinct, so no two extents are ever compared
+        # strictly smaller candidate has fewer bits; the bits are distinct,
+        # so no two candidates are ever compared
         candidates.sort(reverse=True)
-        # [extent, size, intent]: maximal candidates, merged with equal ones
+        # [X, size, Y]: maximal candidates, merged with equal ones
         neighbours: list[list[int]] = []
         for size, bit, e in candidates:
             for n in neighbours:
@@ -246,25 +312,44 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
                         n[2] |= bit
                     break
             else:
-                neighbours.append([e, size, b | bit])
-        for _, _, d in neighbours:
-            j = index.get(d)
-            if j is not None and not upper[j]:
-                # the first edge to j, which checks its listed extent: that
-                # is A ∩ n' for each attribute n the neighbour adds, and
-                # any other extent is a neighbour not listed
-                new = d ^ b
-                if concepts[j].extent != a & ext[new & -new]:
+                neighbours.append([e, size, y | bit])
+        first = True
+        for e, _, y in neighbours:
+            j = index.get(e if transposed else y)
+            # a missing top, on the class side, is left to the count of
+            # tops below; on the attribute side this test would find the
+            # bottom, which is checked above
+            if j is None and y == side:
+                continue
+            if j is not None and (first if transposed else not found[j]):
+                # the first edge up from the lower concept checks its listed
+                # extent: that is the upper one ∩ n' for each attribute n
+                # the lower concept adds, and any other extent is a
+                # neighbour not listed
+                low, high = (c, concepts[j]) if transposed else (concepts[j], c)
+                new = low.intent ^ high.intent
+                if (low.extent != high.extent & ext[new & -new]
+                        or low.extent == high.extent):
                     j = None
             if j is None:
-                raise ValueError(
-                    f"concept {i} has a lower neighbour missing from the list"
-                )
-            upper[j].append(i)
+                raise ValueError(f"concept {i} has {direction} neighbour "
+                                 "missing from the list")
+            found[j].append(i)
+            first = False
+    upper = found
+    if transposed:  # found holds the lower covers: turn them round
+        upper = [[] for _ in concepts]
+        for j, lower in enumerate(found):
+            for i in lower:
+                upper[i].append(j)
     tops = upper.count([])
     if tops != 1:
         raise ValueError(f"{tops} concepts have no upper cover; the top "
                          "alone must have none")
+    bottoms = found.count([])
+    if bottoms != 1:
+        raise ValueError(f"{bottoms} concepts have no lower cover; the "
+                         "bottom alone must have none")
     lattice.upper_covers = [tuple(u) for u in upper]
     return lattice
 

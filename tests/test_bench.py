@@ -118,7 +118,7 @@ def test_xi_undefined_below_two_concepts():
     assert report.pearson_xi is None
 
 
-def test_run_comparison_argument_validation(toy_ctx, toy_lattice,
+def test_run_comparison_argument_validation(toy_ctx, toy_concepts,
                                             monkeypatch):
     with pytest.raises(ValueError):
         run_comparison(toy_ctx, timing_repeats=-1)
@@ -133,7 +133,7 @@ def test_run_comparison_argument_validation(toy_ctx, toy_lattice,
         with pytest.raises(ValueError, match="timing_repeats must be an int"):
             run_comparison(toy_ctx, timing_repeats=repeats)
         with pytest.raises(ValueError, match="timing_repeats must be an int"):
-            score_concepts(toy_ctx, toy_lattice, timing_repeats=repeats)
+            score_concepts(toy_ctx, toy_concepts, timing_repeats=repeats)
     for budget in (2.5, "3"):
         with pytest.raises(ValueError, match="budget must be a positive int"):
             run_comparison(toy_ctx, timing_repeats=0, concept_budget=budget)
@@ -142,7 +142,7 @@ def test_run_comparison_argument_validation(toy_ctx, toy_lattice,
     with pytest.raises(ValueError, match="not a BaseRule member"):
         run_comparison(toy_ctx, rule="literal", concept_budget=1)
     with pytest.raises(ValueError, match="not a BaseRule member"):
-        score_concepts(toy_ctx, toy_lattice, rule="literal", index="stability")
+        score_concepts(toy_ctx, toy_concepts, rule="literal", index="stability")
 
 
 def test_concept_budget_is_forwarded(toy_ctx):
@@ -151,8 +151,8 @@ def test_concept_budget_is_forwarded(toy_ctx):
 
 
 def test_score_concepts_computes_only_the_selected_index(
-        toy_ctx, toy_lattice, monkeypatch):
-    both = score_concepts(toy_ctx, toy_lattice)
+        toy_ctx, toy_concepts, monkeypatch):
+    both = score_concepts(toy_ctx, toy_concepts)
     assert [r.concept_id for r in both] == list(range(13))
     assert all(getattr(r, c) is not None for r in both for c in REPORT_COLUMNS)
     assert all(r.t_becr_ns == r.t_stability_ns == 0 for r in both)
@@ -164,18 +164,20 @@ def test_score_concepts_computes_only_the_selected_index(
 
     with monkeypatch.context() as patch:
         patch.setattr(bench, "stability", not_called)
-        assert score_concepts(toy_ctx, toy_lattice, index="becr") == \
+        assert score_concepts(toy_ctx, toy_concepts, index="becr") == \
             [replace(r, stability=None) for r in both]
     with monkeypatch.context() as patch:
+        # stability reads no covers, so none are built for it
+        patch.setattr(bench, "build_covers", not_called)
         patch.setattr(bench, "becr", not_called)
-        assert score_concepts(toy_ctx, toy_lattice, index="stability") == \
+        assert score_concepts(toy_ctx, toy_concepts, index="stability") == \
             [replace(r, **no_becr) for r in both]
     with pytest.raises(ValueError):
-        score_concepts(toy_ctx, toy_lattice, index="BECR")
+        score_concepts(toy_ctx, toy_concepts, index="BECR")
 
 
 def test_each_index_is_computed_once_per_concept_and_timed_run(
-        toy_ctx, toy_lattice, monkeypatch):
+        toy_ctx, toy_concepts, monkeypatch):
     calls = Counter()
 
     def counting(name, fn):
@@ -188,7 +190,7 @@ def test_each_index_is_computed_once_per_concept_and_timed_run(
     monkeypatch.setattr(bench, "stability", counting("stability", stability))
     monkeypatch.setattr(bench, "stability_dfs",
                         counting("stability_dfs", stability_dfs))
-    score_concepts(toy_ctx, toy_lattice)
+    score_concepts(toy_ctx, toy_concepts)
     assert calls == {"becr": 13, "stability": 13}
     assert calls["stability_dfs"] == 0
     calls.clear()
@@ -197,7 +199,7 @@ def test_each_index_is_computed_once_per_concept_and_timed_run(
     run_comparison(toy_ctx, timing_repeats=2)
     assert calls == {"becr": 3 * 13, "stability": 13, "stability_dfs": 2 * 13}
     calls.clear()
-    rows = score_concepts(toy_ctx, toy_lattice, index="becr", timing_repeats=1)
+    rows = score_concepts(toy_ctx, toy_concepts, index="becr", timing_repeats=1)
     assert calls == {"becr": 2 * 13}
     assert all(r.t_becr_ns > 0 and r.t_stability_ns == 0 for r in rows)
 

@@ -2,6 +2,7 @@
 import csv
 import io
 import random
+from collections import Counter
 
 import pytest
 
@@ -271,26 +272,79 @@ def test_covers_of_brute_force_concepts():
         assert_covers_match_oracle(build_covers(brute_force_concepts(ctx)))
 
 
-def test_covers_need_the_complete_concept_set(toy_ctx, toy_concepts):
+def test_both_sides_of_the_side_choice_fuzz():
+    # enumeration and covers run on the attributes or, with fewer row
+    # classes than attributes, on the classes.  Shapes on either side and
+    # at the crossover (classes = |M| - 1, |M|, |M| + 1), with all-zero
+    # rows, no objects and no attributes; covers also on shuffled lists
+    rng = random.Random(207)
+    sides = Counter()
+    for _ in range(300):
+        m = rng.randint(0, 6)
+        k = rng.choice((m - 1, m, m + 1, rng.randint(0, 2 * m + 1)))
+        k = min(max(k, 0), 2 ** m)
+        patterns = rng.sample(range(2 ** m), k)
+        n = rng.randint(k, 14) if k else 0
+        rows = patterns + [rng.choice(patterns) for _ in range(n - k)]
+        rng.shuffle(rows)
+        ctx = FormalContext.from_rows(
+            [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows)
+        assert len(ctx.class_rows) == k
+        sides[(k > m) - (k < m), 0 in patterns, n == 0, m == 0] += 1
+        concepts = enumerate_concepts(ctx)
+        assert concepts == next_closure_oracle(ctx) == brute_force_concepts(ctx)
+        assert_covers_match_oracle(build_covers(concepts))
+        assert_covers_match_oracle(
+            build_covers(rng.sample(concepts, len(concepts))))
+    # fewer classes, as many, and more; with and without an all-zero row
+    for side in (-1, 0, 1):
+        for zero in (False, True):
+            assert sides[side, zero, False, False]
+    assert sides[-1, False, True, False]  # no objects
+    assert sides[1, True, False, True]  # no attributes
+
+
+@pytest.fixture(scope="module")
+def events_ctx(davis_ctx):
+    """davis read the other way round: its 14 events are the objects and
+    its 18 women the attributes, so its 13 row classes are fewer than the
+    attributes, as toy's 5 are fewer than its 8"""
+    return FormalContext.from_rows(davis_ctx.attributes, davis_ctx.objects,
+                                   davis_ctx.cols)
+
+
+@pytest.fixture(scope="module")
+def events_concepts(events_ctx):
+    return enumerate_concepts(events_ctx)
+
+
+def test_covers_need_the_complete_concept_set(toy_ctx, toy_concepts,
+                                              events_ctx, events_concepts):
     # dropping a non-top concept that is no attribute concept mu(m) leaves
-    # every attribute extent intact, so the gap shows as a missing neighbour
-    attribute_intents = {toy_ctx.close_attrs(1 << m)
-                         for m in range(toy_ctx.n_attributes)}
-    dropped = 0
-    for i, c in enumerate(toy_concepts[1:], start=1):
-        if c.intent in attribute_intents:
-            continue
-        with pytest.raises(ValueError, match="missing from the list"):
-            build_covers(toy_concepts[:i] + toy_concepts[i + 1:])
-        dropped += 1
-    assert dropped == 7
-    # an empty list has no concept without an upper cover; a list without
-    # the top, and a concept listed twice (the top, or one below it), each
-    # leave a second one
-    for concepts in ([], toy_concepts[1:], toy_concepts + toy_concepts[:1],
-                     toy_concepts + toy_concepts[5:6]):
-        with pytest.raises(ValueError, match="no upper cover"):
-            build_covers(concepts)
+    # every attribute extent intact, so the gap shows as a missing neighbour.
+    # Both contexts have fewer row classes than attributes, so the covers
+    # are found upwards, and the bottom concept is one of those dropped
+    for ctx, lectic, n_dropped in ((toy_ctx, toy_concepts, 7),
+                                   (events_ctx, events_concepts, 45)):
+        assert len(ctx.class_rows) < ctx.n_attributes
+        attribute_intents = {ctx.close_attrs(1 << m)
+                             for m in range(ctx.n_attributes)}
+        assert lectic[-1].intent not in attribute_intents
+        dropped = 0
+        for i, c in enumerate(lectic[1:], start=1):
+            if c.intent in attribute_intents:
+                continue
+            with pytest.raises(ValueError, match="missing from the list"):
+                build_covers(lectic[:i] + lectic[i + 1:])
+            dropped += 1
+        assert dropped == n_dropped
+        # an empty list has no concept without an upper cover; a list
+        # without the top, and a concept listed twice (the top, or one below
+        # it), each leave a second one
+        for concepts in ([], lectic[1:], lectic + lectic[:1],
+                         lectic + lectic[5:6]):
+            with pytest.raises(ValueError, match="no upper cover"):
+                build_covers(concepts)
 
 
 def flipped_extents(ctx, concepts, i):
@@ -303,18 +357,27 @@ def flipped_extents(ctx, concepts, i):
 
 
 def test_covers_reject_a_corrupted_extent(toy_ctx, toy_concepts, davis_ctx,
-                                          davis_concepts):
+                                          davis_concepts, events_ctx,
+                                          events_concepts):
     # covers run on row classes, and a concept's listed extent is checked
-    # once, on objects, at the first edge to it, wherever the concept stands
-    # in the list.  The attribute extents m' are read off the attribute
-    # concepts, so a corrupted one is checked against nothing: on davis, two
-    # such corruptions (object 5 of concepts 51 and 55) pass silently, as
-    # they did when covers ran on objects.  Every other single-bit
-    # corruption raises, in lectic order and in three shuffled ones
+    # once, on objects, at the first edge up from it, wherever the concept
+    # stands in the list.  The attribute extents m' are read off the
+    # attribute concepts, so a corrupted one is checked against nothing: on
+    # davis, two such corruptions (object 5 of concepts 51 and 55) pass
+    # silently, as they did when covers ran on objects.  Every other
+    # single-bit corruption raises, in lectic order and in three shuffled
+    # ones.  Toy and davis's events have fewer row classes than
+    # attributes, so their covers are found upwards, and a corrupted
+    # attribute concept that no step finds counts as a second bottom: none
+    # of their corruptions passes.  One object in no attribute extent has
+    # two concepts, and either corruption gives both one extent
     rng = random.Random(206)
     davis_silent = {(51, 5), (55, 5)}
+    single = FormalContext.from_rows(["g"], ["m"], [0])
     for ctx, lectic, silent in ((toy_ctx, toy_concepts, set()),
-                                (davis_ctx, davis_concepts, davis_silent)):
+                                (davis_ctx, davis_concepts, davis_silent),
+                                (events_ctx, events_concepts, set()),
+                                (single, enumerate_concepts(single), set())):
         for k in range(4):
             concepts = rng.sample(lectic, len(lectic)) if k else lectic
             passed = set()
