@@ -251,19 +251,22 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     # objects in the same attribute extents share a row: write each
     # object's digits across the extents, the largest attribute first, as
     # one line of a table, and the distinct lines are the row classes,
-    # whose k-th digits are the class column of the k-th attribute.  One
-    # more digit than the widest extent, an object in no extent, keeps a
-    # line when every extent is empty
+    # whose k-th digits are the class column of the k-th attribute.  The
+    # widest listed extent, the top's, gives the table one line per object,
+    # so an object in no attribute extent has the all-zero line, and no
+    # other object does
     bits = sorted(ext, reverse=True)
     m = len(bits)
-    width = max(ext.values(), default=0).bit_length() + 1
+    width = max((c.extent for c in concepts), default=0).bit_length()
     top = 1 << width
     table = bytearray(b"\n" * (width * (m + 1)))
     for k, bit in enumerate(bits):
         table[k::m + 1] = bin(ext[bit] | top)[3:].encode()
     lines = dict.fromkeys(bytes(table).split())
     digits = b"".join(lines)
-    class_col = {bit: int(digits[k::m], 2) for k, bit in enumerate(bits)}
+    # with no objects there are no lines, and every column is empty
+    class_col = {bit: int(digits[k::m] or b"0", 2)
+                 for k, bit in enumerate(bits)}
     every = (1 << len(lines)) - 1
     # the bottom's intent is M, attributes 0 to |M| - 1 of its context
     if concepts and (attributes not in index or attributes & (attributes + 1)):

@@ -304,6 +304,34 @@ def test_both_sides_of_the_side_choice_fuzz():
     assert sides[1, True, False, True]  # no attributes
 
 
+def test_covers_take_the_side_enumeration_takes():
+    # covers count the row classes they read off the attribute extents and
+    # pick their side by that count, as enumeration does by ctx.class_rows.
+    # A missing neighbour is named by the step that looks for it: upper on
+    # the class side, lower on the attribute side.  8 attributes with 7, 8
+    # and 9 row classes, with and without an all-zero row; 7 non-empty
+    # rows must not count as 8 classes
+    rng = random.Random(208)
+    m = 8
+    for k in (m - 1, m, m + 1):
+        for zero in (False, True):
+            rows = rng.sample(range(1, 2 ** m), k - zero) + [0] * zero
+            rows += [rng.choice(rows) for _ in range(5)]
+            rng.shuffle(rows)
+            ctx = FormalContext.from_rows(
+                [f"g{i}" for i in range(len(rows))],
+                [f"m{j}" for j in range(m)], rows)
+            assert len(ctx.class_rows) == k
+            concepts = enumerate_concepts(ctx)
+            attribute_intents = {ctx.close_attrs(1 << j) for j in range(m)}
+            i = next(i for i, c in enumerate(concepts[1:-1], start=1)
+                     if c.intent not in attribute_intents)
+            direction = "an upper" if k < m else "a lower"
+            with pytest.raises(ValueError,
+                               match=f"{direction} neighbour missing"):
+                build_covers(concepts[:i] + concepts[i + 1:])
+
+
 @pytest.fixture(scope="module")
 def events_ctx(davis_ctx):
     """davis read the other way round: its 14 events are the objects and

@@ -15,6 +15,11 @@ from conftest import DATA
 DAVIS = str(DATA / "davis.cxt")
 GEN_793 = ["--objects", "793", "--attributes", "10", "--density", "0.41",
            "--seed", "42"]
+# alpha's per-member pass runs on 85% of its concepts, whose intents hold
+# a member outside ∩H; its 32 columns are distinct, so both base rules
+# print the same table
+GEN_14x32 = ["--objects", "14", "--attributes", "32", "--density", "0.6",
+             "--seed", "42"]
 
 DIGESTS = {
     ("davis", "concepts"):
@@ -43,14 +48,22 @@ DIGESTS = {
         "18872943a4f5c5f036353f87bd75cb9ca1d66ef4eaf51fc9b520ebfca7639177",
     ("793x10", "relevance", "both"):
         "b256e602db32e068716ccced06856bed9926ea092bf55f8ed39397ae2eb38d2e",
+    ("14x32", "relevance", "becr", "worked-example"):
+        "ee07c55bbe8089873fdd48ff0f503203361fbf48a695eaca17e5d8a52a869e66",
+    ("14x32", "relevance", "becr", "literal"):
+        "ee07c55bbe8089873fdd48ff0f503203361fbf48a695eaca17e5d8a52a869e66",
 }
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    generated = tmp_path_factory.mktemp("digests") / "coin793x10.cxt"
-    assert main(["generate", *GEN_793, "--output", str(generated)]) == EXIT_OK
-    return {"davis": DAVIS, "793x10": str(generated)}
+    folder = tmp_path_factory.mktemp("digests")
+    inputs = {"davis": DAVIS}
+    for name, argv in (("793x10", GEN_793), ("14x32", GEN_14x32)):
+        generated = folder / f"coin{name}.cxt"
+        assert main(["generate", *argv, "--output", str(generated)]) == EXIT_OK
+        inputs[name] = str(generated)
+    return inputs
 
 
 @pytest.mark.parametrize("key", list(DIGESTS), ids="-".join)

@@ -1,5 +1,6 @@
 """Relevance scoring: the BECR breakdown and the stability index."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from becr import (
     coin_toss_context,
     enumerate_concepts,
     equivalent_attributes,
+    generator_family,
     is_base_attribute,
     iter_bits,
     minimal_generators,
@@ -106,9 +108,19 @@ def test_breakdown_is_composed_of_the_terms(toy_ctx, toy_lattice,
 
 
 def test_witnesses_match_the_predicates_fuzz():
+    # alpha_term reads B's columns only for members outside ∩H, and for
+    # the equivalent tier; every path it can take is counted and must run.
+    # The family comes sorted, shuffled and in generator_family's search
+    # order, since alpha_term takes it in any order.  Every third context
+    # repeats a column, so that members share an extent
     rng = random.Random(404)
-    for _ in range(120):
+    paths = Counter()
+    for k in range(120):
         ctx = random_context(rng)
+        if k % 3 == 0 and ctx.n_attributes > 1:
+            i, j = rng.sample(range(ctx.n_attributes), 2)
+            rows = [r & ~(1 << i) | (r >> j & 1) << i for r in ctx.rows]
+            ctx = FormalContext.from_rows(ctx.objects, ctx.attributes, rows)
         lattice = build_covers(enumerate_concepts(ctx))
         for concept in lattice.concepts:
             b = concept.intent
@@ -122,20 +134,40 @@ def test_witnesses_match_the_predicates_fuzz():
             assert shared == sum(
                 1 << m for m in iter_bits(b)
                 if ctx.derive_extent(b & ~(1 << m)) != concept.extent)
+            if not b:
+                paths["empty intent"] += 1
+            elif shared == b:
+                paths["∩H = B"] += 1
             gens = minimal_generators(lattice, concept)
+            families = (gens, rng.sample(gens, len(gens)),
+                        generator_family(lattice, concept))
             for rule in BaseRule:
-                alpha, base, equiv = alpha_term(ctx, concept, gens, rule)
                 expected_base = sum(
-                    1 << m for m in iter_bits(concept.intent)
+                    1 << m for m in iter_bits(b)
                     if is_base_attribute(ctx, concept, m, rule))
-                assert base == expected_base
-                if base:
-                    assert equiv == 0
-                    assert alpha == F(base.bit_count(), size)
-                else:
-                    assert equiv == equivalent_attributes(ctx, concept)
-                    assert alpha == (F(equiv.bit_count(), size) if equiv
-                                     else F(0))
+                for m in iter_bits(b & ~shared):
+                    if (rule is BaseRule.WORKED_EXAMPLE
+                            and any(ctx.cols[y] == ctx.cols[m]
+                                    for y in iter_bits(b) if y != m)):
+                        paths["equal-extent skip"] += 1
+                    paths["base outside ∩H" if expected_base >> m & 1
+                          else "non-base outside ∩H"] += 1
+                for family in families:
+                    alpha, base, equiv = alpha_term(ctx, concept, family,
+                                                    rule)
+                    assert base == expected_base
+                    if base:
+                        assert equiv == 0
+                        assert alpha == F(base.bit_count(), size)
+                    else:
+                        assert equiv == equivalent_attributes(ctx, concept)
+                        assert alpha == (F(equiv.bit_count(), size) if equiv
+                                         else F(0))
+                if not expected_base and size > 1:
+                    paths["equivalent tier"] += 1
+    for path in ("∩H = B", "base outside ∩H", "non-base outside ∩H",
+                 "equal-extent skip", "equivalent tier", "empty intent"):
+        assert paths[path], path
 
 
 def test_base_and_equivalent_witnesses_exclusive(toy_ctx, toy_lattice):
