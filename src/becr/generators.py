@@ -31,13 +31,14 @@ def generator_family(
 
     One pass over the upper covers ORs the one-attribute faces into
     ``forced`` and collects the others.  Each face {a} must be hit, so ``a``
-    is in every generator, and a face that meets ``forced`` is already hit.
-    ``forced`` is all of ∩H, the members every generator holds: m is in each
-    one exactly when B minus {m} is no generator, that is, when it is closed
-    and {m} is a face.  When ``forced`` meets every face the concept has one
-    generator, ``[forced]``, and no search runs (833 of the 848 concepts of
-    coin-toss 793x10).  A concept without upper covers (the supremum) has
-    the empty set as its only generator.
+    is in every generator, and no other face holds ``a``: a face B minus Bu2
+    that did would give Bu2 ⊆ B minus {a} = Bu1, and upper covers are
+    incomparable.  ``forced`` is all of ∩H, the members every generator
+    holds: m is in each one exactly when B minus {m} is no generator, that
+    is, when it is closed and {m} is a face.  When every face is a single
+    attribute the concept has one generator, ``[forced]``, and no search
+    runs (833 of the 848 concepts of coin-toss 793x10).  A concept without
+    upper covers (the supremum) has the empty set as its only generator.
 
     The other faces go to MMCS, which searches for their minimal
     transversals depth first; each one, ORed with ``forced``, is a minimal
@@ -71,14 +72,11 @@ def generator_family(
             faces.append(face)
         else:
             forced |= face
-    # most concepts stop here, so this test builds no list
-    for face in faces:
-        if not face & forced:
-            break
-    else:
+    # upper covers are incomparable, so no face of two or more attributes
+    # meets ``forced``: most concepts stop here
+    if not faces:
         return [forced]
-    faces = sorted([face for face in faces if not face & forced],
-                   key=int.bit_count)
+    faces.sort(key=int.bit_count)
     hit: dict[int, int] = {}
     bit = 1
     for face in faces:

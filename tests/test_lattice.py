@@ -293,9 +293,18 @@ def test_both_sides_of_the_side_choice_fuzz():
         sides[(k > m) - (k < m), 0 in patterns, n == 0, m == 0] += 1
         concepts = enumerate_concepts(ctx)
         assert concepts == next_closure_oracle(ctx) == brute_force_concepts(ctx)
-        assert_covers_match_oracle(build_covers(concepts))
+        lattice = build_covers(concepts)
+        assert_covers_match_oracle(lattice)
         assert_covers_match_oracle(
             build_covers(rng.sample(concepts, len(concepts))))
+        # generator_family relies on this: the faces B \ Bu to a concept's
+        # upper covers are pairwise incomparable, so no face of two or more
+        # attributes meets a one-attribute face
+        for c, ups in zip(concepts, lattice.upper_covers):
+            faces = [c.intent & ~concepts[u].intent for u in ups]
+            forced = sum(f for f in faces if f.bit_count() == 1)
+            assert not any(f & g == f for f in faces for g in faces if f != g)
+            assert not any(f & forced for f in faces if f.bit_count() > 1)
     # fewer classes, as many, and more; with and without an all-zero row
     for side in (-1, 0, 1):
         for zero in (False, True):

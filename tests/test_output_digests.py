@@ -17,7 +17,8 @@ GEN_793 = ["--objects", "793", "--attributes", "10", "--density", "0.41",
            "--seed", "42"]
 # alpha's per-member pass runs on 85% of its concepts, whose intents hold
 # a member outside ∩H; its 32 columns are distinct, so both base rules
-# print the same table
+# print the same table.  Its 14 row classes are fewer than its 32
+# attributes, so its concepts are enumerated on the class side
 GEN_14x32 = ["--objects", "14", "--attributes", "32", "--density", "0.6",
              "--seed", "42"]
 
@@ -48,6 +49,8 @@ DIGESTS = {
         "18872943a4f5c5f036353f87bd75cb9ca1d66ef4eaf51fc9b520ebfca7639177",
     ("793x10", "relevance", "both"):
         "b256e602db32e068716ccced06856bed9926ea092bf55f8ed39397ae2eb38d2e",
+    ("14x32", "concepts"):
+        "6a00bbfd46ff7948abadc765d3e72a5eada814e78718bad6ba720f14596d58be",
     ("14x32", "relevance", "becr", "worked-example"):
         "ee07c55bbe8089873fdd48ff0f503203361fbf48a695eaca17e5d8a52a869e66",
     ("14x32", "relevance", "becr", "literal"):

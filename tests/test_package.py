@@ -1,5 +1,7 @@
-"""The package surface: its exports and the README's Python API example."""
+"""The package surface: its exports, the README's Python API example and
+the names the benchmark's tracer wraps."""
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -50,3 +52,21 @@ def test_sources_parse_as_python_3_10():
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
+
+
+def test_traced_names_are_package_callables():
+    # the benchmark's tracer wraps each "module.function" in its TRACED
+    # tuple, looked up in becr.<module>: a rename or deletion in src breaks
+    # it.  The tuple is read with ast, so the benchmark code is not run
+    tree = ast.parse(
+        (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]
+    )
+    assert traced
+    for qualified in traced:
+        module_name, fname = qualified.split(".")
+        module = importlib.import_module(f"becr.{module_name}")
+        assert callable(getattr(module, fname, None)), qualified
