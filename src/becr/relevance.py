@@ -17,14 +17,15 @@ Stability is the fraction of intent subsets whose extent equals A.  The
 subsets that qualify are closed upwards in B (e ⊆ f ⊆ B and e' = A give
 A = B' ⊆ f' ⊆ e' = A), and each holds F = ∩H, the members m whose removal
 from B escapes A.  ``stability`` reads F off B's columns alone, with one
-forward pass that keeps the prefix extents and one backward pass with a
-running suffix; it needs no lattice.  When F' = A, F is the one minimal
-generator and the count is 2^(|B| - |F|) in closed form.  Otherwise it
-starts from F' and walks the free columns once, merging the subsets chosen
-so far by their extent and dropping those that cannot reach A, a test that
-reads the prefix extent before each column.  A is carried like any other
-extent: every later column keeps it whether taken or left out, so its
-weight doubles per column, and the subsets are never listed one by one.
+forward pass that pairs each column with the extent of the columns before
+it and one backward pass over those pairs with a running suffix; it needs
+no lattice.  It then starts from F' and walks the free columns once,
+merging the subsets chosen so far by their extent and dropping those that
+cannot reach A, a test that reads the prefix extent paired with each
+column.  A is carried like any other extent: every later column keeps it
+whether taken or left out, so its weight doubles per column, and the
+subsets are never listed one by one.  When F' = A (F is then the one
+minimal generator) the walk holds A alone and counts 2^(|B| - |F|).
 Past the two passes a concept costs at most |B - F| times its number of
 ancestors inside F', itself included, dict updates.
 ``stability_dfs`` visits every one of the 2^|B|
@@ -296,18 +297,18 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
 
     A subset qualifies exactly when it holds a minimal generator of B, so
     every qualifying subset holds F = ∩H, the members m for which B minus
-    {m} escapes A.  One forward pass over B's columns keeps the prefix
-    extents, the last of them A; one backward pass with a running suffix
-    finds F, since B minus the i-th member has extent prefix_i & suffix_i+1.
-    No lattice and no family are needed.  When F' = A, F is the only
-    minimal generator and the count is 2^(|B| - |F|) in closed form (H = {B}
-    gives 1).  Otherwise the count starts from F' and walks the free columns
-    (those outside F), last first, keeping for each extent the number of
-    subsets of the free columns seen so far that reach it.  Each such
-    extent is that of (A, B) or of an ancestor of it that lies inside F', so
-    past the two passes a concept costs at most |B - F| times the number of
-    those ancestors, itself included, dict updates.  Guarded to |B| <= 30;
-    raises ValueError for an intent with bits outside the context.
+    {m} escapes A.  One forward pass over B's columns lists, per member i,
+    the pair (prefix_i, column i), where prefix_i is the extent of the
+    columns before i; the AND of all of B's columns is A.  One backward
+    pass over the pairs with a running suffix finds F, since B minus the
+    i-th member has extent prefix_i & suffix_i+1.  No lattice and no family
+    are needed.  The count starts from F' and walks the free columns (those
+    outside F), last first, keeping for each extent the number of subsets
+    of the free columns seen so far that reach it.  Each such extent is
+    that of (A, B) or of an ancestor of it that lies inside F', so past the
+    two passes a concept costs at most |B - F| times the number of those
+    ancestors, itself included, dict updates.  Guarded to |B| <= 30; raises
+    ValueError for an intent with bits outside the context.
 
     The extents are kept as masks over the row classes of ``ctx``, and A is
     read off B as the AND of B's class columns: ``concept.extent`` is not
@@ -316,10 +317,12 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
     A is a state like any other.  Every column of B contains A, so once a
     subset reaches A both branches of each later column keep it there and
     its weight doubles: the subsets that qualify are closed upwards in B.
-    After the last free column the weight of A is the count.  A state that
-    cannot reach A any more is dropped.  The columns still to come are the
-    free ones before column i, and every state lies inside each column of
-    F, so the prune reads prefix_i, the extent of all columns before i.
+    After the last free column the weight of A is the count.  When F' = A,
+    F is the only minimal generator: the walk holds A alone and counts
+    2^(|B| - |F|), and H = {B} gives 1.  A state that cannot reach A any
+    more is dropped.  The columns still to come are the free ones before
+    column i, and every state lies inside each column of F, so the prune
+    reads prefix_i, the extent paired with column i.
     """
     b = concept.intent
     ctx.check_attrs(b)
@@ -334,9 +337,8 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
         )
     full = target = ctx.all_classes
     class_cols = ctx.class_cols
-    cols = []
-    # prefix[i]: the extent of the columns before i
-    prefix = [full]
+    # one (extent of the columns before i, column i) per member i of B
+    steps = []
     bits = b
     # not iter_bits: its generator made this stage 1.2x as long on the
     # benchmark's 1000x16 context
@@ -344,24 +346,20 @@ def stability(ctx: FormalContext, concept: FormalConcept) -> StabilityScore:
         low = bits & -bits
         bits ^= low
         col = class_cols[low.bit_length() - 1]
-        cols.append(col)
+        steps.append((target, col))
         target &= col
-        prefix.append(target)
     # member i lies in every minimal generator (in F = ∩H) when B minus it
     # escapes A; start is F', the others are free, collected last first
     start = suffix = full
     free = []
-    for i in range(k - 1, -1, -1):
-        col = cols[i]
-        if prefix[i] & suffix == target:
-            free.append((prefix[i], col))
+    for rest, col in reversed(steps):
+        if rest & suffix == target:
+            free.append((rest, col))
         else:
             start &= col
         suffix &= col
-    if start == target:  # H = {F}: closed form
-        return StabilityScore(1 << len(free), 1 << k)
-    # every state x lies inside F' and satisfies x & prefix[i] == A: taking
-    # all the free columns still to come reaches A.  Keeping the states that
+    # every state x lies inside F' and satisfies x & rest == A: taking all
+    # the free columns still to come reaches A.  Keeping the states that
     # fail it would not change the count, but made the walk over all of B
     # 2-12x slower on the benchmark's contexts.
     states = {start: 1}

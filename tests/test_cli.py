@@ -210,6 +210,23 @@ def test_failed_run_removes_the_output_files_it_created(tmp_path, capsys):
     assert not scatter.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, which fails every write")
+def test_failed_write_is_a_usage_error(tmp_path, capsys):
+    # /dev/full opens for writing, so the check before the run passes and
+    # the write at the end fails
+    assert main(["concepts", TOY, "--output", "/dev/full"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("becr: cannot write /dev/full: ")
+    # the score table is written in full before the scatter fails; the
+    # failed run still removes it, since the run created it
+    out = tmp_path / "out.csv"
+    assert main(["bench", TOY, "--no-timing", "--output", str(out),
+                 "--scatter", "/dev/full"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("becr: cannot write /dev/full: ")
+    assert not out.exists()
+
+
 def test_bench_timing_columns_present(capsys):
     assert main(["bench", TOY, "--timing-repeats", "1"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()

@@ -21,6 +21,11 @@ GEN_793 = ["--objects", "793", "--attributes", "10", "--density", "0.41",
 # attributes, so its concepts are enumerated on the class side
 GEN_14x32 = ["--objects", "14", "--attributes", "32", "--density", "0.6",
              "--seed", "42"]
+# 755 concepts, 296 of them with one minimal generator, whose stability
+# the count from F' = A gives, and a 28-attribute bottom concept: the
+# widest intents whose stability is pinned
+GEN_14x28 = ["--objects", "14", "--attributes", "28", "--density", "0.6",
+             "--seed", "42"]
 
 DIGESTS = {
     ("davis", "concepts"):
@@ -55,6 +60,10 @@ DIGESTS = {
         "ee07c55bbe8089873fdd48ff0f503203361fbf48a695eaca17e5d8a52a869e66",
     ("14x32", "relevance", "becr", "literal"):
         "ee07c55bbe8089873fdd48ff0f503203361fbf48a695eaca17e5d8a52a869e66",
+    ("14x28", "relevance", "stability"):
+        "3ee2b27816fe646b80427146d1f70e709bea5d2d972c30f5b6b5675a17ba2d8e",
+    ("14x28", "relevance", "both"):
+        "76be16cfc95ce70bfd8d78a0e1e71bb13c26bbb4ae1e254538a4068727d0a7f4",
 }
 
 
@@ -62,7 +71,8 @@ DIGESTS = {
 def inputs(tmp_path_factory):
     folder = tmp_path_factory.mktemp("digests")
     inputs = {"davis": DAVIS}
-    for name, argv in (("793x10", GEN_793), ("14x32", GEN_14x32)):
+    for name, argv in (("793x10", GEN_793), ("14x32", GEN_14x32),
+                       ("14x28", GEN_14x28)):
         generated = folder / f"coin{name}.cxt"
         assert main(["generate", *argv, "--output", str(generated)]) == EXIT_OK
         inputs[name] = str(generated)

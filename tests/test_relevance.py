@@ -155,6 +155,9 @@ def test_witnesses_match_the_predicates_fuzz():
                 for family in families:
                     alpha, base, equiv = alpha_term(ctx, concept, family,
                                                     rule)
+                    # A is read off B's columns, never off concept.extent
+                    assert alpha_term(ctx, FormalConcept(0, b), family,
+                                      rule) == (alpha, base, equiv)
                     assert base == expected_base
                     if base:
                         assert equiv == 0
@@ -224,8 +227,8 @@ def _edge_cases(ctx):
 
 def test_stability_matches_oracle_fuzz():
     # concepts by their family H: H = {B}, one proper generator, several
-    # with a common member, and several with none, so that both the closed
-    # form and the count from F' = (∩H)' run
+    # with a common member, and several with none, so that the count from
+    # F' = (∩H)' runs from A itself (one generator) and from above it
     kinds = {"free": 0, "one": 0, "common": 0, "disjoint": 0}
     rng = random.Random(505)
     for _ in range(60):
@@ -236,6 +239,8 @@ def test_stability_matches_oracle_fuzz():
                 fast = stability(ctx, concept)
                 assert fast == stability_dfs(ctx, concept) == \
                     stability_oracle(ctx, concept)
+                # A is read off B's columns, never off concept.extent
+                assert stability(ctx, FormalConcept(0, concept.intent)) == fast
                 size = concept.intent.bit_count()
                 assert fast.denominator == 1 << size
                 assert 0 < fast.value <= 1
