@@ -216,17 +216,34 @@ def run_comparison(
 def format_score(value: Fraction) -> str:
     """A score as written to every CSV: six decimals.
 
-    The true division is what ``float(value)`` computes, without the detour
-    through ``numbers.Rational.__float__``.
+    The one formatting rule for scores; ``emit_table`` calls it once per
+    distinct value.  The true division is what ``float(value)`` computes,
+    without the detour through ``numbers.Rational.__float__``.
     """
     return f"{value.numerator / value.denominator:.6f}"
 
 
 def emit_table(rows: Sequence[ScoreRow], columns: Sequence[str]) -> str:
-    """CSV of ``columns`` (from REPORT_COLUMNS), one line per row."""
+    """CSV of ``columns`` (from REPORT_COLUMNS), one line per row.
+
+    Scores repeat across concepts (1000x16's 5,347 rows hold 62 distinct
+    stability values), so each distinct value is formatted once per call
+    and every later cell holding it reuses that text.
+    """
+    # keyed by (numerator, denominator): hashing a Fraction costs a
+    # modular inverse
+    texts = {}
+
+    def score_text(value: Fraction) -> str:
+        key = value.as_integer_ratio()
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = format_score(value)
+        return text
+
     # each column's formatter is chosen once, not once per field
     cells = [
-        map(format_score if c in _SCORE_COLUMNS else str,
+        map(score_text if c in _SCORE_COLUMNS else str,
             map(attrgetter(c), rows))
         for c in columns
     ]

@@ -13,9 +13,11 @@ an extent costs one AND per member of the attribute mask, an intent one
 subset test per column, so each costs time linear in |G|·|M|.  Building a
 context costs the same: the columns come from one transpose of the rows
 through a string of binary digits, not from one |G|-bit update per
-incidence.  The CXT and FIMI parsers decode each distinct table line or
-transaction once, and a line that repeats costs one dict lookup: a row is
-a function of its line's text.
+incidence.  The digits are made once per distinct row, and an object
+whose row repeats costs one dict lookup.  Likewise the CXT and FIMI
+parsers decode each distinct table line or transaction once, and a line
+that repeats costs one dict lookup: a row is a function of its line's
+text.
 
 A context also derives its clarified view (Ganter & Wille 1999, ch. 1) on
 first read: the distinct rows in first-seen order, one row class each, and
@@ -90,13 +92,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _transpose(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """The m column masks of ``rows``: bit i of column j is bit j of rows[i]."""
-    # one transpose: the table holds each row as m binary digits (bin of
-    # row | top, less "0b1"), last row first, so column j is every m-th
-    # digit from m - 1 - j; the leading "0" reads an empty table as 0
-    top = 1 << m
-    table = "".join([bin(row | top)[3:] for row in reversed(rows)])
+def _transpose(digits: Iterable[str], m: int) -> tuple[int, ...]:
+    """The m column masks of a table given as ``digits``: the binary digits
+    of each row (bin of row | top, less "0b1"), last row first."""
+    # column j is every m-th digit from m - 1 - j; the leading "0" reads an
+    # empty table as 0
+    table = "".join(digits)
     return tuple(int("0" + table[m - 1 - j::m], 2) for j in range(m))
 
 
@@ -165,7 +166,12 @@ class FormalContext:
 
     @cached_property
     def cols(self) -> tuple[ObjSet, ...]:
-        return _transpose(self.rows, len(self.attributes))
+        # objects of one row class share its digits: each class's are made
+        # once, and each object looks up its class's
+        top = 1 << len(self.attributes)
+        digits = {row: bin(row | top)[3:] for row in self.class_rows}
+        return _transpose(map(digits.__getitem__, reversed(self.rows)),
+                          len(self.attributes))
 
     @cached_property
     def class_rows(self) -> tuple[int, ...]:
@@ -173,7 +179,10 @@ class FormalContext:
 
     @cached_property
     def class_cols(self) -> tuple[int, ...]:
-        return _transpose(self.class_rows, len(self.attributes))
+        top = 1 << len(self.attributes)
+        return _transpose([bin(row | top)[3:]
+                           for row in reversed(self.class_rows)],
+                          len(self.attributes))
 
     # -- dimensions ---------------------------------------------------------
 

@@ -41,14 +41,15 @@ def coin_toss_context(spec: CoinTossSpec) -> FormalContext:
 
     Objects are named g1..gN, attributes m1..mM.
     """
-    rng = random.Random(spec.seed)
+    draw = random.Random(spec.seed).random
     p = spec.density
+    bits = [1 << m for m in range(spec.n_attributes)]
     rows = []
     for _ in range(spec.n_objects):
         mask = 0
-        for m in range(spec.n_attributes):
-            if rng.random() < p:
-                mask |= 1 << m
+        for bit in bits:
+            if draw() < p:
+                mask |= bit
         rows.append(mask)
     return FormalContext.from_rows(
         [f"g{i + 1}" for i in range(spec.n_objects)],

@@ -27,7 +27,7 @@ from becr import (
     stability_oracle,
 )
 from becr.cli import EXIT_OK, main
-from helpers import next_closure_oracle
+from helpers import columns_oracle, next_closure_oracle
 
 
 def make_context(n: int, m: int, rows) -> FormalContext:
@@ -95,6 +95,8 @@ def test_stages_match_oracles_on_repeated_rows_fuzz():
         pool = [rng.getrandbits(m) for _ in range(rng.randint(1, 12))]
         ctx = make_context(n, m, [rng.choice(pool) for _ in range(n)])
         assert len(ctx.class_rows) <= len(pool)
+        # every class repeats: cols is read off one digit string per class
+        assert ctx.cols == columns_oracle(ctx.rows, m)
         assert_stages_match_oracles(ctx)
 
 

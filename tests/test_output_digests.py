@@ -26,6 +26,10 @@ GEN_14x32 = ["--objects", "14", "--attributes", "32", "--density", "0.6",
 # widest intents whose stability is pinned
 GEN_14x28 = ["--objects", "14", "--attributes", "28", "--density", "0.6",
              "--seed", "42"]
+# 20,000 objects in 970 row classes, about 20 objects per class: the
+# object columns are read off one digit string per class
+GEN_20000x10 = ["--objects", "20000", "--attributes", "10", "--density",
+                "0.3", "--seed", "42"]
 
 DIGESTS = {
     ("davis", "concepts"):
@@ -64,6 +68,8 @@ DIGESTS = {
         "3ee2b27816fe646b80427146d1f70e709bea5d2d972c30f5b6b5675a17ba2d8e",
     ("14x28", "relevance", "both"):
         "76be16cfc95ce70bfd8d78a0e1e71bb13c26bbb4ae1e254538a4068727d0a7f4",
+    ("20000x10", "relevance", "both"):
+        "fac6440c1db5539cbc3359b12a76121c155306f1393e2f661b4fc87778c54f95",
 }
 
 
@@ -72,7 +78,7 @@ def inputs(tmp_path_factory):
     folder = tmp_path_factory.mktemp("digests")
     inputs = {"davis": DAVIS}
     for name, argv in (("793x10", GEN_793), ("14x32", GEN_14x32),
-                       ("14x28", GEN_14x28)):
+                       ("14x28", GEN_14x28), ("20000x10", GEN_20000x10)):
         generated = folder / f"coin{name}.cxt"
         assert main(["generate", *argv, "--output", str(generated)]) == EXIT_OK
         inputs[name] = str(generated)

@@ -1,4 +1,6 @@
 """Random coin-toss context generation."""
+import hashlib
+
 import pytest
 
 from becr import CoinTossSpec, coin_toss_context, enumerate_concepts
@@ -55,3 +57,22 @@ def test_spec_validation():
                        ((2, 3, 0.5, 1.0), "seed")):
         with pytest.raises(ValueError, match=name):
             CoinTossSpec(*args)
+
+
+# SHA-256 of each context's rows as comma-separated decimal masks: the
+# draw order and every bit are fixed per (spec, seed)
+ROW_DIGESTS = {
+    (20000, 10, 0.3, 42):
+        "81b8a226098a4e5d15ab25a37212c6d3045f5213df2f0e758e71aa2830cf3677",
+    (1000, 16, 0.3, 42):
+        "cea71bd0992a8b1c7326ed01e5c99ba2e4725c94f377765ae0ea0efbaff11d8e",
+    (14, 32, 0.6, 42):
+        "3d32dd24984633099f581d9dec41f3beeb9efdcec3b3e662980212ff826ff752",
+}
+
+
+@pytest.mark.parametrize("spec", list(ROW_DIGESTS), ids=str)
+def test_rows_are_pinned(spec):
+    rows = coin_toss_context(CoinTossSpec(*spec)).rows
+    digest = hashlib.sha256(",".join(map(str, rows)).encode()).hexdigest()
+    assert digest == ROW_DIGESTS[spec]
