@@ -25,14 +25,20 @@ attribute side, the lower neighbours of (A, B) are the concepts whose
 extents are the maximal ones among the candidates A ∩ m', m ∉ B.  For a
 maximal candidate e, an attribute n ∉ B has e ⊆ n' exactly when
 A ∩ n' = e, so the neighbour's intent is B plus the attributes whose
-candidates equal e.  On the class side, the upper neighbours of (A, B)
-are the concepts whose intents are the maximal ones among B ∩ row, for
-the row classes outside A.  Either way a lattice of C concepts costs at
-most C * min(classes, |M|) candidates, with no closure and no comparison
-of concept pairs.  Attribute extents m' are read off the concepts
-themselves, which is why ``build_covers`` needs the complete concept set
-of one context, and so are the row classes: objects that lie in the same
-attribute extents share a row.
+candidates equal e.  The step is needed only where some one-attribute
+step B ∪ {m}, m ∉ B, is not an intent: any lower neighbour holds some
+step and is that step wherever it is closed, so where every step is a
+listed intent, the steps are the lower neighbours.  On the class side,
+the upper neighbours of (A, B) are the concepts whose intents are the
+maximal ones among B ∩ row, for the row classes outside A.  A lattice of
+C concepts thus costs at most |M \\ B| intent lookups per concept on the
+attribute side, and Lindig's min(classes, |M|) candidates only for the
+concepts that have a step that is no intent (every concept, on the class
+side), with no closure and no comparison of concept pairs.  Attribute
+extents m' are read off the concepts themselves, which is why
+``build_covers`` needs the complete concept set of one context, and so
+are the row classes: objects that lie in the same attribute extents share
+a row.
 """
 from __future__ import annotations
 
@@ -40,7 +46,7 @@ import csv as _csv
 import io
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_
+from operator import and_, attrgetter
 
 from .context import AttrSet, FormalContext, ObjSet
 
@@ -204,8 +210,8 @@ class ConceptLattice:
 
 
 def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
-    """Upper covers by Lindig's neighbour step, C * min(classes, |M|)
-    candidates.
+    """Upper covers from the one-attribute steps of each intent, and
+    Lindig's neighbour step where a step is no intent.
 
     ``concepts`` must be the complete concept set of one context, as
     ``enumerate_concepts`` returns it, in any order; the ids of the result
@@ -218,14 +224,19 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
 
     The step runs on the smaller side, the classes it reads or the
     attributes, as enumeration does.  With no fewer classes than
-    attributes, a concept's lower neighbours are the maximal class extents
-    among A ∩ m', m ∉ B, whose intents are B plus the attributes whose
-    candidates are equal; with fewer classes, its upper
+    attributes, a concept first looks up its steps B ∪ {m}, m ∉ B, in the
+    list, stopping at the first that is no intent: at most |M \\ B|
+    lookups.  Where all are intents, they are its lower neighbours, with
+    no candidate.  Otherwise its lower neighbours are the maximal class
+    extents among A ∩ m', m ∉ B, whose intents are B plus the attributes
+    whose candidates are equal.  With fewer classes, a concept's upper
     neighbours are the maximal intents among B ∩ row, for the row classes
-    outside A.  The candidates are ANDed, counted and compared as masks of
-    one bit per class or per attribute.
+    outside A, at most min(classes, |M|) candidates either way.  The
+    candidates are ANDed, counted and compared as masks of one bit per
+    class or per attribute.
 
-    The list is checked as it is read.  ValueError is raised for a list
+    The list is checked as it is read.  ValueError is raised, before any
+    work, for a negative intent or extent.  It is raised for a list
     without the bottom concept (M', M), for a neighbour that the list
     lacks, and for a list without exactly one concept that has no upper
     cover and exactly one that has no lower cover: the list is empty, the
@@ -233,8 +244,18 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     covers because the intent index finds the last.  Each concept's listed
     extent is checked once, on objects, at the first edge up from it: the
     lower extent must be the upper one ∩ m' for an attribute m that the
-    lower concept adds, and the two must differ.
+    lower concept adds, and the two must differ.  A listed intent that is
+    not closed raises too, so that no concept takes it for a step: a step
+    with the concept's own extent counts as a neighbour not listed, and a
+    Lindig candidate equal to A names the intent.
     """
+    # a negative mask has no highest bit, and the attribute-extent pass
+    # below would never run out of bits
+    if (min(map(attrgetter("intent"), concepts), default=0) < 0
+            or min(map(attrgetter("extent"), concepts), default=0) < 0):
+        i = next(i for i, c in enumerate(concepts)
+                 if c.intent < 0 or c.extent < 0)
+        raise ValueError(f"concept {i} has a negative intent or extent")
     lattice = ConceptLattice(concepts, [])
     index = lattice._index
     # m' is the extent of ({m}', {m}''): {m}'' lies in every intent that
@@ -283,12 +304,47 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     # has_lower[i]: whether concept i has a lower cover
     upper: list[list[int]] = [[] for _ in concepts]
     has_lower = [False] * len(concepts)
+
+    def extent_holds(low: int, high: int) -> bool:
+        # the first edge up from the lower concept checks its listed extent:
+        # that is the upper one ∩ n' for each attribute n the lower concept
+        # adds, and any other extent is a neighbour not listed
+        below, above = concepts[low], concepts[high]
+        new = below.intent ^ above.intent
+        return (below.extent == above.extent & ext[new & -new]
+                and below.extent != above.extent)
+
     for i, c in enumerate(concepts):
         b = c.intent
         # a concept listed twice: the index finds the last copy, and any
         # other gets no covers
         if index[b] != i:
             continue
+        if not transposed:
+            # a lower neighbour D holds some step B ∪ {m}, m ∉ B, and is
+            # that step wherever it is closed: where every step is a listed
+            # intent, the steps are the lower neighbours, with no candidate.
+            # That takes each listed intent for closed, so each concept
+            # checks its own: a step with B's extent shows that B is not
+            # closed, as a Lindig candidate equal to A does below
+            lower = []
+            rest = attributes & ~b
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                j = index.get(b | bit)
+                if j is None:
+                    break
+                lower.append(j)
+            else:
+                for j in lower:
+                    if (concepts[j].extent == c.extent
+                            or not (upper[j] or extent_holds(j, i))):
+                        raise ValueError(f"concept {i} has a lower neighbour "
+                                         "missing from the list")
+                    upper[j].append(i)
+                has_lower[i] = bool(lower)
+                continue
         classes = every
         rest = b
         while rest:
@@ -307,6 +363,11 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
         # strictly smaller candidate has fewer bits; the bits are distinct,
         # so no two candidates are ever compared
         candidates.sort(reverse=True)
+        # a candidate equal to X: some item outside the concept holds all
+        # of it, so B is not closed (on the class side, X is B itself, and
+        # no class outside A holds it)
+        if candidates and candidates[0][2] == x:
+            raise ValueError(f"concept {i} has an intent that is not closed")
         # [X, size, Y]: maximal candidates, merged with equal ones
         neighbours: list[list[int]] = []
         for size, bit, e in candidates:
@@ -329,17 +390,7 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
             # every edge made covers about 2% slower
             low = i if transposed else j
             high = j if transposed else i
-            if j is not None and not upper[low]:
-                # the first edge up from the lower concept checks its listed
-                # extent: that is the upper one ∩ n' for each attribute n
-                # the lower concept adds, and any other extent is a
-                # neighbour not listed
-                below, above = concepts[low], concepts[high]
-                new = below.intent ^ above.intent
-                if (below.extent != above.extent & ext[new & -new]
-                        or below.extent == above.extent):
-                    j = None
-            if j is None:
+            if j is None or not (upper[low] or extent_holds(low, high)):
                 raise ValueError(f"concept {i} has {direction} neighbour "
                                  "missing from the list")
             upper[low].append(high)

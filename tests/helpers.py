@@ -8,8 +8,13 @@ from becr import (
     FormalContext,
     IllegalCell,
     MalformedRow,
+    StabilityScore,
     iter_bits,
 )
+
+# 2^20 face sets at most; the faces of a concept are as many as its upper
+# covers, which can be far fewer than its attributes
+MAX_FACES = 20
 
 
 def random_context(rng: random.Random, max_objects: int = 8,
@@ -50,6 +55,53 @@ def next_closure_oracle(ctx: FormalContext) -> list[FormalConcept]:
                 break
         concepts.append(FormalConcept(ctx.derive_extent(intent), intent))
     return concepts
+
+
+def upper_covers_oracle(concepts):
+    """Transitive reduction of extent containment, computed the slow way."""
+    n = len(concepts)
+    above = [
+        {j for j in range(n)
+         if concepts[j].extent != concepts[i].extent
+         and concepts[i].extent & ~concepts[j].extent == 0}
+        for i in range(n)
+    ]
+    return [
+        tuple(sorted(
+            j for j in above[i]
+            if not any(j in above[k] for k in above[i] if k != j)
+        ))
+        for i in range(n)
+    ]
+
+
+def stability_by_faces(concepts, upper_covers, i) -> StabilityScore:
+    """Oracle: concept i's stability by inclusion–exclusion over its faces.
+
+    A subset e of the intent B has e'' = B exactly when it meets every face
+    B \\ Bu, one per upper cover u, so the numerator is the sum over face
+    sets S of (-1)^|S| * 2^(|B| - |∪S|).  Face sets with one union are
+    merged as they are built.  ``upper_covers`` is read as given, so pass
+    the oracle's.  Independent of the extent walk of every counter; its
+    cost is exponential in the face count, not in |B|, and it is guarded
+    to MAX_FACES faces.
+    """
+    b = concepts[i].intent
+    faces = [b & ~concepts[u].intent for u in upper_covers[i]]
+    if len(faces) > MAX_FACES:
+        raise ValueError(f"concept {i} has {len(faces)} faces; the oracle "
+                         f"caps at {MAX_FACES}")
+    # union of a face set -> the sum of (-1)^|S| over the sets S with it
+    signs = {0: 1}
+    for face in faces:
+        grown = dict(signs)
+        for union, sign in signs.items():
+            grown[union | face] = grown.get(union | face, 0) - sign
+        signs = grown
+    k = b.bit_count()
+    return StabilityScore(
+        sum(sign << (k - union.bit_count()) for union, sign in signs.items()),
+        1 << k)
 
 
 def generator_key(mask: int):

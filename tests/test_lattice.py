@@ -21,7 +21,7 @@ from becr import (
     lectic_key,
     parse_csv,
 )
-from helpers import next_closure_oracle, random_context
+from helpers import next_closure_oracle, random_context, upper_covers_oracle
 
 # extents and intents of the toy lattice in enumeration order
 TOY_CONCEPTS = [
@@ -181,24 +181,6 @@ def test_brute_force_object_guard():
 
 # -- covers -------------------------------------------------------------------
 
-def upper_covers_oracle(concepts):
-    """Transitive reduction of extent containment, computed the slow way."""
-    n = len(concepts)
-    above = [
-        {j for j in range(n)
-         if concepts[j].extent != concepts[i].extent
-         and concepts[i].extent & ~concepts[j].extent == 0}
-        for i in range(n)
-    ]
-    return [
-        tuple(sorted(
-            j for j in above[i]
-            if not any(j in above[k] for k in above[i] if k != j)
-        ))
-        for i in range(n)
-    ]
-
-
 def test_toy_covers(toy_ctx, toy_lattice):
     assert len(toy_lattice) == 13
     assert toy_lattice.upper_covers == upper_covers_oracle(toy_lattice.concepts)
@@ -263,6 +245,92 @@ def test_covers_fuzz_repeated_rows():
         shuffled = FormalContext.from_rows(ctx.objects, ctx.attributes, rows)
         assert build_covers(enumerate_concepts(shuffled)).upper_covers == \
             lattice.upper_covers
+
+
+def stepping_concepts(ctx, concepts):
+    """Ids of the concepts whose one-attribute steps B ∪ {m} are all
+    listed intents: on the attribute side, covers take those steps as the
+    lower neighbours, with no Lindig step."""
+    intents = {c.intent for c in concepts}
+    return [i for i, c in enumerate(concepts)
+            if all(c.intent | 1 << m in intents
+                   for m in range(ctx.n_attributes))]
+
+
+def test_covers_where_one_attribute_steps_are_intents():
+    # tall coin tosses, where nearly every concept takes its steps, and
+    # sparse ones, where only a few do; each in lectic order and shuffled.
+    # All of them have no fewer row classes than attributes
+    rng = random.Random(210)
+    dropped = 0
+    for n, m, p, least, most in ((200, 6, 0.5, 64, 64),
+                                 (150, 7, 0.5, 80, 90),
+                                 (60, 10, 0.2, 2, 5),
+                                 (80, 12, 0.15, 2, 5)):
+        for seed in range(2):
+            ctx = coin_toss_context(CoinTossSpec(n, m, p, seed))
+            assert len(ctx.class_rows) >= m
+            concepts = enumerate_concepts(ctx)
+            stepping = stepping_concepts(ctx, concepts)
+            assert least <= len(stepping) <= most
+            assert_covers_match_oracle(build_covers(concepts))
+            assert_covers_match_oracle(
+                build_covers(rng.sample(concepts, len(concepts))))
+            # a step that is neither an attribute concept nor the bottom,
+            # dropped from below a concept that takes its steps: that
+            # concept takes Lindig's step, which names the gap
+            attribute_intents = {ctx.close_attrs(1 << j) for j in range(m)}
+            j = next((j for j, c in enumerate(concepts[:-1])
+                      if c.intent not in attribute_intents
+                      for i in stepping
+                      if (c.intent ^ concepts[i].intent).bit_count() == 1
+                      and c.intent & ~concepts[i].intent), None)
+            if j is None:
+                continue
+            with pytest.raises(ValueError, match="a lower neighbour missing "
+                                                 "from the list"):
+                build_covers(concepts[:j] + concepts[j + 1:])
+            dropped += 1
+    assert dropped == 6
+
+
+def test_covers_reject_an_intent_that_is_not_closed():
+    # a step B ∪ {m} that is no intent, listed with its extent A ∩ m' as
+    # one more concept or in place of one.  Lindig's step never reaches
+    # it, but where B's other steps are listed, B would take it for a
+    # lower neighbour: the step with B's extent, or Lindig's candidate
+    # equal to A, shows that an intent is not closed
+    rng = random.Random(211)
+    stepping = 0
+    for n, m, p, seed in ((40, 5, 0.5, 42), (30, 5, 0.5, 1), (24, 5, 0.6, 42)):
+        ctx = coin_toss_context(CoinTossSpec(n, m, p, seed))
+        concepts = enumerate_concepts(ctx)
+        intents = {c.intent for c in concepts}
+        for i, c in enumerate(concepts):
+            for j in range(m):
+                step = c.intent | 1 << j
+                if step in intents:
+                    continue
+                stepping += all(c.intent | 1 << k in intents | {step}
+                                for k in range(m))
+                wrong = FormalConcept(c.extent & ctx.cols[j], step)
+                k = rng.randrange(len(concepts))
+                for listed in (concepts + [wrong],
+                               concepts[:k] + [wrong] + concepts[k + 1:]):
+                    with pytest.raises(ValueError):
+                        build_covers(listed)
+    assert stepping >= 20
+
+
+def test_covers_reject_a_negative_mask(toy_concepts):
+    # a negative mask has no highest bit; it is named before any work
+    for wrong, i in ((FormalConcept(1, -1), 0), (FormalConcept(-1, 0), 0),
+                     (FormalConcept(toy_concepts[5].extent, -3), 5),
+                     (FormalConcept(-toy_concepts[12].extent, 511), 12)):
+        concepts = toy_concepts[:i] + [wrong] + toy_concepts[i + 1:]
+        with pytest.raises(ValueError,
+                           match=f"concept {i} has a negative intent"):
+            build_covers(concepts)
 
 
 def test_covers_of_brute_force_concepts():
@@ -427,6 +495,34 @@ def test_covers_reject_a_corrupted_extent(toy_ctx, toy_concepts, davis_ctx,
                         continue
                     passed.add((lectic.index(c), g))
             assert passed == silent
+
+
+def test_covers_let_through_what_lindigs_step_let_through():
+    # 24 of this tall coin toss's 30 concepts take their one-attribute steps
+    # as their lower neighbours, and its single-bit extent corruptions
+    # pass as they did when every concept took Lindig's step.  Objects 7
+    # and 12 lie in no attribute extent, so the top's extent and the
+    # attribute concepts' (ids 1, 2, 4, 8 and 16) are read as G and as m'
+    # whether or not they hold them; and a corrupted attribute extent is
+    # checked against nothing
+    ctx = coin_toss_context(CoinTossSpec(40, 5, 0.5, 42))
+    lectic = enumerate_concepts(ctx)
+    assert len(stepping_concepts(ctx, lectic)) == 24
+    silent = {(0, 7), (0, 12), (1, 6), (1, 7), (1, 12), (1, 24), (2, 7),
+              (2, 12), (4, 7), (4, 12), (4, 34), (4, 39), (8, 7), (8, 12),
+              (16, 7), (16, 12), (16, 19)}
+    rng = random.Random(212)
+    for k in range(2):
+        concepts = rng.sample(lectic, len(lectic)) if k else lectic
+        passed = set()
+        for i, c in enumerate(concepts):
+            for g, corrupted in enumerate(flipped_extents(ctx, concepts, i)):
+                try:
+                    build_covers(corrupted)
+                except ValueError:
+                    continue
+                passed.add((lectic.index(c), g))
+        assert passed == silent
 
 
 def test_single_concept_lattice():

@@ -2,6 +2,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -33,7 +34,12 @@ from becr import (
     stability_oracle,
 )
 from becr.cli import EXIT_OK, main
-from helpers import random_context
+from helpers import (
+    MAX_FACES,
+    random_context,
+    stability_by_faces,
+    upper_covers_oracle,
+)
 
 F = Fraction
 
@@ -209,6 +215,44 @@ def test_stability_matches_the_full_subset_count_on_793x10():
     ctx = coin_toss_context(CoinTossSpec(793, 10, 0.41, 42))
     for concept in enumerate_concepts(ctx):
         assert stability(ctx, concept) == stability_dfs(ctx, concept)
+
+
+def test_stability_by_inclusion_exclusion_over_the_faces(
+        toy_ctx, toy_concepts, davis_ctx, davis_concepts):
+    # exact, and exponential in the faces, not in |B|: the bottom of this
+    # 14x28 coin toss has 28 attributes and 14 faces.  The full-subset
+    # count visits 2^|B| subsets, so it is a check only up to |B| = 16.
+    # The first- and second-order Bonferroni bounds hold on every concept
+    wide = coin_toss_context(CoinTossSpec(14, 28, 0.6, 42))
+    full_subsets = 0
+    for ctx, concepts in ((toy_ctx, toy_concepts),
+                          (davis_ctx, davis_concepts),
+                          (wide, enumerate_concepts(wide))):
+        covers = upper_covers_oracle(concepts)
+        for i, concept in enumerate(concepts):
+            exact = stability_by_faces(concepts, covers, i)
+            assert exact == stability(ctx, concept)
+            k = concept.intent.bit_count()
+            if k <= 16:
+                assert exact == stability_dfs(ctx, concept)
+                full_subsets += 1
+            faces = [concept.intent & ~concepts[u].intent for u in covers[i]]
+            whole = 1 << k
+            first = whole - sum(whole >> f.bit_count() for f in faces)
+            second = first + sum(whole >> (f | g).bit_count()
+                                 for f, g in combinations(faces, 2))
+            assert first <= exact.numerator <= second
+            assert exact.numerator <= whole - max(
+                (whole >> f.bit_count() for f in faces), default=0)
+    assert concepts[-1].intent.bit_count() == 28 and len(covers[-1]) == 14
+    assert full_subsets == 13 + len(davis_concepts) + 746
+    # the guard counts faces: one more than it allows, on a 21-bit intent
+    bottom = FormalConcept(0, (1 << MAX_FACES + 1) - 1)
+    uppers = [FormalConcept(1, bottom.intent ^ 1 << a)
+              for a in range(MAX_FACES + 1)]
+    with pytest.raises(ValueError, match="faces"):
+        stability_by_faces([bottom] + uppers,
+                           [tuple(range(1, MAX_FACES + 2))], 0)
 
 
 def _edge_cases(ctx):
