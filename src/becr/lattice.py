@@ -7,12 +7,12 @@ has the highest priority), which makes them deterministic for a given
 context.  Id 0 is always the supremum (G, G') and the last id the infimum
 (M', M).
 
-Both stages run on the clarified view, a mask of one bit per row class
+Enumeration runs on the clarified view, a mask of one bit per row class
 where an extent would take one bit per object, and on whichever side of
-it has fewer items.  Enumeration is Close-by-One (Kuznetsov 1993): with
-no fewer row classes than attributes, it closes attribute sets and hands
-out concepts in lectic order; with fewer classes, it closes class sets
-and sorts the concepts once.  A lattice of C concepts costs at most
+it has fewer items.  It is Close-by-One (Kuznetsov 1993): with no fewer
+row classes than attributes, it closes attribute sets and hands out
+concepts in lectic order; with fewer classes, it closes class sets and
+sorts the concepts once.  A lattice of C concepts costs at most
 C * min(classes, |M|) children.  The rule that picks a side compares the
 class count with |M| and reads nothing else: a coin-toss table of 14
 objects over 32 attributes (14 classes) takes the class side, and one of
@@ -20,25 +20,27 @@ objects over 32 attributes (14 classes) takes the class side, and one of
 
 The lattice stores upper covers only: minimal generators, the one consumer
 of the order, read the faces to a concept's upper covers.  They come from
-Lindig's neighbour step (Lindig 2000, "Fast concept analysis").  On the
-attribute side, the lower neighbours of (A, B) are the concepts whose
-extents are the maximal ones among the candidates A ∩ m', m ∉ B.  For a
-maximal candidate e, an attribute n ∉ B has e ⊆ n' exactly when
-A ∩ n' = e, so the neighbour's intent is B plus the attributes whose
-candidates equal e.  The step is needed only where some one-attribute
-step B ∪ {m}, m ∉ B, is not an intent: any lower neighbour holds some
-step and is that step wherever it is closed, so where every step is a
-listed intent, the steps are the lower neighbours.  On the class side,
-the upper neighbours of (A, B) are the concepts whose intents are the
-maximal ones among B ∩ row, for the row classes outside A.  A lattice of
-C concepts thus costs at most |M \\ B| intent lookups per concept on the
-attribute side, and Lindig's min(classes, |M|) candidates only for the
-concepts that have a step that is no intent (every concept, on the class
+Lindig's neighbour step (Lindig 2000, "Fast concept analysis"), on object
+and attribute masks; covers read no row class.  On the attribute side, the
+lower neighbours of (A, B) are the concepts whose extents are the maximal
+ones among the candidates A ∩ m', m ∉ B.  For a maximal candidate e, an
+attribute n ∉ B has e ⊆ n' exactly when A ∩ n' = e, so the neighbour's
+intent is B plus the attributes whose candidates equal e.  The step is
+needed only where some one-attribute step B ∪ {m}, m ∉ B, is not an
+intent: any lower neighbour holds some step and is that step wherever it
+is closed, so where every step is a listed intent, the steps are the
+lower neighbours.  With fewer objects than attributes, covers take the
+object side: the upper neighbours of (A, B) are the concepts whose intents
+are the maximal ones among B ∩ g', for the objects g outside A.  The two
+stages count different things, so with |G| >= |M| > classes enumeration
+takes the class side and covers the attribute side.  A lattice of C
+concepts thus costs at most |M \\ B| intent lookups per concept on the
+attribute side, and Lindig's min(|G|, |M|) candidates only for the
+concepts that have a step that is no intent (every concept, on the object
 side), with no closure and no comparison of concept pairs.  Attribute
 extents m' are read off the concepts themselves, which is why
-``build_covers`` needs the complete concept set of one context, and so
-are the row classes: objects that lie in the same attribute extents share
-a row.
+``build_covers`` needs the complete concept set of one context, and so,
+on the object side, are the objects' rows.
 """
 from __future__ import annotations
 
@@ -219,21 +221,21 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     attribute extent m' is read off one concept, the attribute concept
     ({m}', {m}''), so the list must hold every attribute concept: without
     one, m' is read off a smaller extent and the covers are not checked.
-    The row classes are read off those extents: objects in the same ones
-    share a row, so every extent is a union of classes.
+    The objects are the bits below the widest listed extent's highest one.
 
-    The step runs on the smaller side, the classes it reads or the
-    attributes, as enumeration does.  With no fewer classes than
-    attributes, a concept first looks up its steps B ∪ {m}, m ∉ B, in the
-    list, stopping at the first that is no intent: at most |M \\ B|
-    lookups.  Where all are intents, they are its lower neighbours, with
-    no candidate.  Otherwise its lower neighbours are the maximal class
-    extents among A ∩ m', m ∉ B, whose intents are B plus the attributes
-    whose candidates are equal.  With fewer classes, a concept's upper
-    neighbours are the maximal intents among B ∩ row, for the row classes
-    outside A, at most min(classes, |M|) candidates either way.  The
-    candidates are ANDed, counted and compared as masks of one bit per
-    class or per attribute.
+    The step runs on the smaller side, the objects or the attributes, as
+    object and attribute masks.  With no fewer objects than attributes, a
+    concept first looks up its steps B ∪ {m}, m ∉ B, in the list, stopping
+    at the first that is no intent: at most |M \\ B| lookups.  Where all
+    are intents, they are its lower neighbours, with no candidate.
+    Otherwise its lower neighbours are the maximal extents among A ∩ m',
+    m ∉ B, on its listed extent A, whose intents are B plus the attributes
+    whose candidates are equal.  With fewer objects, a concept's upper
+    neighbours are the maximal intents among B ∩ g', for the objects g
+    outside B', with each row g' read off the attribute extents and B' the
+    AND of B's: at most min(|G|, |M|) candidates either way.  Enumeration
+    compares the row classes with |M| instead, so with |G| >= |M| >
+    classes the two take different sides.
 
     The list is checked as it is read.  ValueError is raised, before any
     work, for a negative intent or extent.  It is raised for a list
@@ -241,13 +243,15 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     lacks, and for a list without exactly one concept that has no upper
     cover and exactly one that has no lower cover: the list is empty, the
     top is missing, or a concept is listed twice, whose other copy gets no
-    covers because the intent index finds the last.  Each concept's listed
-    extent is checked once, on objects, at the first edge up from it: the
-    lower extent must be the upper one ∩ m' for an attribute m that the
-    lower concept adds, and the two must differ.  A listed intent that is
-    not closed raises too, so that no concept takes it for a step: a step
-    with the concept's own extent counts as a neighbour not listed, and a
-    Lindig candidate equal to A names the intent.
+    covers because the intent index finds the last.  The top's extent must
+    hold every object.  Each other concept's listed extent is checked once,
+    at the first edge up from it: the lower extent must be the upper one
+    ∩ m' for an attribute m that the lower concept adds, and the two must
+    differ.  An attribute concept's extent is read as m', so that check
+    may compare it with itself, and a corruption of it can pass.  A listed
+    intent that is not closed raises too, so that no concept takes it for
+    a step: a step with the concept's own extent counts as a neighbour not
+    listed, and a Lindig candidate equal to A names the intent.
     """
     # a negative mask has no highest bit, and the attribute-extent pass
     # below would never run out of bits
@@ -269,37 +273,22 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
             bit = new & -new
             new ^= bit
             ext[bit] = c.extent
-    # objects in the same attribute extents share a row: write each
-    # object's digits across the extents, the largest attribute first, as
-    # one line of a table, and the distinct lines are the row classes,
-    # whose k-th digits are the class column of the k-th attribute.  The
-    # widest listed extent, the top's, gives the table one line per object,
-    # so an object in no attribute extent has the all-zero line, and no
-    # other object does
-    bits = sorted(ext, reverse=True)
-    m = len(bits)
+    # the widest listed extent, the top's, spans the objects: the object
+    # side steps up from those outside B', and the top is checked against
+    # all of them below
     width = max((c.extent for c in concepts), default=0).bit_length()
-    top = 1 << width
-    table = bytearray(b"\n" * (width * (m + 1)))
-    for k, bit in enumerate(bits):
-        table[k::m + 1] = bin(ext[bit] | top)[3:].encode()
-    lines = dict.fromkeys(bytes(table).split())
-    digits = b"".join(lines)
-    # with no objects there are no lines, and every column is empty
-    class_col = {bit: int(digits[k::m] or b"0", 2)
-                 for k, bit in enumerate(bits)}
-    every = (1 << len(lines)) - 1
+    every = (1 << width) - 1
     # the bottom's intent is M, attributes 0 to |M| - 1 of its context
     if concepts and (attributes not in index or attributes & (attributes + 1)):
         raise ValueError("the bottom concept is missing from the list")
-    transposed = len(lines) < m
+    transposed = width < len(ext)
     if transposed:
-        # class k is the k-th line from the end, and its digits run from
-        # attribute m - 1 down, so the line reads as the class's row
+        # object g's row: the attributes whose extents hold g
         side, direction = every, "an upper"
-        cols = {1 << k: int(line, 2) for k, line in enumerate(reversed(lines))}
+        cols = {1 << g: sum(bit for bit, e in ext.items() if e >> g & 1)
+                for g in range(width)}
     else:
-        side, cols, direction = attributes, class_col, "a lower"
+        side, cols, direction = attributes, ext, "a lower"
     # upper[i]: the upper covers of concept i, whichever side finds them;
     # has_lower[i]: whether concept i has a lower cover
     upper: list[list[int]] = [[] for _ in concepts]
@@ -345,13 +334,16 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
                     upper[j].append(i)
                 has_lower[i] = bool(lower)
                 continue
-        classes = every
-        rest = b
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            classes &= class_col[bit]
-        x, y = (b, classes) if transposed else (classes, b)
+        x, y = c.extent, b
+        if transposed:
+            # B' is derived from the attribute extents, not listed: the
+            # listed extent is checked at the first edge up, and candidates
+            # read off it would let some corruptions of it through
+            x, y, rest = b, every, b
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                y &= ext[bit]
         candidates = []
         rest = side & ~y
         while rest:
@@ -364,8 +356,8 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
         # so no two candidates are ever compared
         candidates.sort(reverse=True)
         # a candidate equal to X: some item outside the concept holds all
-        # of it, so B is not closed (on the class side, X is B itself, and
-        # no class outside A holds it)
+        # of it, so B is not closed (on the object side, X is B itself, and
+        # no object outside B' holds it)
         if candidates and candidates[0][2] == x:
             raise ValueError(f"concept {i} has an intent that is not closed")
         # [X, size, Y]: maximal candidates, merged with equal ones
@@ -380,12 +372,12 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
                 neighbours.append([e, size, y | bit])
         for e, _, y in neighbours:
             j = index.get(e if transposed else y)
-            # a missing top, on the class side, is left to the count of
+            # a missing top, on the object side, is left to the count of
             # tops below; on the attribute side this test would find the
             # bottom, which is checked above
             if j is None and y == side:
                 continue
-            # the class side steps up from i, the attribute side down.  Two
+            # the object side steps up from i, the attribute side down.  Two
             # conditionals, not one swapped tuple: building that tuple on
             # every edge made covers about 2% slower
             low = i if transposed else j
@@ -399,11 +391,14 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     if tops != 1:
         raise ValueError(f"{tops} concepts have no upper cover; the top "
                          "alone must have none")
+    top = upper.index([])
+    if concepts[top].extent != every:
+        raise ValueError(f"concept {top}, the top, does not hold every object")
     bottoms = has_lower.count(False)
     if bottoms != 1:
         raise ValueError(f"{bottoms} concepts have no lower cover; the "
                          "bottom alone must have none")
-    # the attribute side appends in id order; the class side in the order
+    # the attribute side appends in id order; the object side in the order
     # of each concept's neighbours
     lattice.upper_covers = [tuple(sorted(u) if transposed else u)
                             for u in upper]

@@ -215,7 +215,8 @@ def test_covers_fuzz_multiword_extents():
 
 def test_covers_fuzz_repeated_rows():
     # many objects over a few distinct rows, as in the object-heavy
-    # benchmark contexts, where covers run on few row classes.  Every other
+    # benchmark contexts, where enumeration runs on few row classes and
+    # covers on the attributes, over wide object masks.  Every other
     # context ends with an all-zero row, an object in no attribute extent
     # and above the last bit of each; the rest give every row attribute 0,
     # so that the top intent is not empty
@@ -233,9 +234,9 @@ def test_covers_fuzz_repeated_rows():
         lattice = build_covers(enumerate_concepts(ctx))
         assert_covers_match_oracle(lattice)
         assert (lattice.concepts[0].intent != 0) == (k % 2 == 0)
-        # in any order of the list: each class extent is read off the
-        # intent, and the first edge to a concept may come from any
-        # concept of the list
+        # in any order of the list: each concept's candidates are read off
+        # its listed extent, and the first edge to a concept may come from
+        # any concept of the list
         concepts = lattice.concepts[:]
         rng.shuffle(concepts)
         assert_covers_match_oracle(build_covers(concepts))
@@ -341,12 +342,15 @@ def test_covers_of_brute_force_concepts():
 
 
 def test_both_sides_of_the_side_choice_fuzz():
-    # enumeration and covers run on the attributes or, with fewer row
-    # classes than attributes, on the classes.  Shapes on either side and
+    # enumeration runs on the attributes or, with fewer row classes than
+    # attributes, on the classes; covers on the attributes or, with fewer
+    # objects than attributes, on the objects, so with |G| >= |M| > classes
+    # ("split") the two take different sides.  Shapes on either side and
     # at the crossover (classes = |M| - 1, |M|, |M| + 1), with all-zero
     # rows, no objects and no attributes; covers also on shuffled lists
     rng = random.Random(207)
     sides = Counter()
+    covers_sides = Counter()
     for _ in range(300):
         m = rng.randint(0, 6)
         k = rng.choice((m - 1, m, m + 1, rng.randint(0, 2 * m + 1)))
@@ -359,6 +363,8 @@ def test_both_sides_of_the_side_choice_fuzz():
             [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows)
         assert len(ctx.class_rows) == k
         sides[(k > m) - (k < m), 0 in patterns, n == 0, m == 0] += 1
+        covers_sides["objects" if n < m else
+                     "split" if k < m else "attributes"] += 1
         concepts = enumerate_concepts(ctx)
         assert concepts == next_closure_oracle(ctx) == brute_force_concepts(ctx)
         lattice = build_covers(concepts)
@@ -379,31 +385,40 @@ def test_both_sides_of_the_side_choice_fuzz():
             assert sides[side, zero, False, False]
     assert sides[-1, False, True, False]  # no objects
     assert sides[1, True, False, True]  # no attributes
+    assert covers_sides["objects"] and covers_sides["attributes"]
+    assert covers_sides["split"]
 
 
-def test_covers_take_the_side_enumeration_takes():
-    # covers count the row classes they read off the attribute extents and
-    # pick their side by that count, as enumeration does by ctx.class_rows.
-    # A missing neighbour is named by the step that looks for it: upper on
-    # the class side, lower on the attribute side.  8 attributes with 7, 8
-    # and 9 row classes, with and without an all-zero row; 7 non-empty
-    # rows must not count as 8 classes
+def test_covers_take_the_object_side_with_fewer_objects():
+    # covers step up from the objects where there are fewer of them than
+    # attributes, and down from the attributes otherwise, while enumeration
+    # compares the row classes with the attributes: with |G| >= |M| >
+    # classes, the two stages take different sides.  A missing neighbour
+    # is named by the step that looks for it: upper on the object side,
+    # lower on the attribute side.  8 attributes over 7, 8 and 9 objects,
+    # each its own row class or 7 and 6 classes repeated, with and without
+    # an all-zero row.  That row is the last object: it lies in no
+    # attribute extent, but the top's extent holds it, so 8 objects with
+    # one in no attribute extent do not count as 7
     rng = random.Random(208)
     m = 8
-    for k in (m - 1, m, m + 1):
+    for n, k in ((7, 7), (8, 8), (9, 9), (8, 7), (9, 7), (12, 6)):
         for zero in (False, True):
-            rows = rng.sample(range(1, 2 ** m), k - zero) + [0] * zero
-            rows += [rng.choice(rows) for _ in range(5)]
+            rows = rng.sample(range(1, 2 ** m), k - zero)
+            rows += [rng.choice(rows) for _ in range(n - k)]
             rng.shuffle(rows)
+            rows += [0] * zero
             ctx = FormalContext.from_rows(
-                [f"g{i}" for i in range(len(rows))],
-                [f"m{j}" for j in range(m)], rows)
+                [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows)
             assert len(ctx.class_rows) == k
             concepts = enumerate_concepts(ctx)
+            assert_covers_match_oracle(build_covers(concepts))
+            assert_covers_match_oracle(
+                build_covers(rng.sample(concepts, len(concepts))))
             attribute_intents = {ctx.close_attrs(1 << j) for j in range(m)}
             i = next(i for i, c in enumerate(concepts[1:-1], start=1)
                      if c.intent not in attribute_intents)
-            direction = "an upper" if k < m else "a lower"
+            direction = "an upper" if n < m else "a lower"
             with pytest.raises(ValueError,
                                match=f"{direction} neighbour missing"):
                 build_covers(concepts[:i] + concepts[i + 1:])
@@ -412,8 +427,8 @@ def test_covers_take_the_side_enumeration_takes():
 @pytest.fixture(scope="module")
 def events_ctx(davis_ctx):
     """davis read the other way round: its 14 events are the objects and
-    its 18 women the attributes, so its 13 row classes are fewer than the
-    attributes, as toy's 5 are fewer than its 8"""
+    its 18 women the attributes, so its 14 objects, in 13 row classes, are
+    fewer than the attributes, as toy's 5 are fewer than its 8"""
     return FormalContext.from_rows(davis_ctx.attributes, davis_ctx.objects,
                                    davis_ctx.cols)
 
@@ -427,11 +442,11 @@ def test_covers_need_the_complete_concept_set(toy_ctx, toy_concepts,
                                               events_ctx, events_concepts):
     # dropping a non-top concept that is no attribute concept mu(m) leaves
     # every attribute extent intact, so the gap shows as a missing neighbour.
-    # Both contexts have fewer row classes than attributes, so the covers
-    # are found upwards, and the bottom concept is one of those dropped
+    # Both contexts have fewer objects than attributes, so the covers are
+    # found upwards, and the bottom concept is one of those dropped
     for ctx, lectic, n_dropped in ((toy_ctx, toy_concepts, 7),
                                    (events_ctx, events_concepts, 45)):
-        assert len(ctx.class_rows) < ctx.n_attributes
+        assert ctx.n_objects < ctx.n_attributes
         attribute_intents = {ctx.close_attrs(1 << m)
                              for m in range(ctx.n_attributes)}
         assert lectic[-1].intent not in attribute_intents
@@ -464,18 +479,18 @@ def flipped_extents(ctx, concepts, i):
 def test_covers_reject_a_corrupted_extent(toy_ctx, toy_concepts, davis_ctx,
                                           davis_concepts, events_ctx,
                                           events_concepts):
-    # covers run on row classes, and a concept's listed extent is checked
-    # once, on objects, at the first edge up from it, wherever the concept
-    # stands in the list.  The attribute extents m' are read off the
-    # attribute concepts, so a corrupted one is checked against nothing: on
-    # davis, two such corruptions (object 5 of concepts 51 and 55) pass
-    # silently, as they did when covers ran on objects.  Every other
-    # single-bit corruption raises, in lectic order and in three shuffled
-    # ones.  Toy and davis's events have fewer row classes than
-    # attributes, so their covers are found upwards, and a corrupted
-    # attribute concept that no step finds counts as a second bottom: none
-    # of their corruptions passes.  One object in no attribute extent has
-    # two concepts, and either corruption gives both one extent
+    # the top's listed extent is checked against every object, and each
+    # other concept's once, at the first edge up from it, wherever the
+    # concept stands in the list.  The attribute extents m' are read off
+    # the attribute concepts, so a corrupted one is checked against
+    # nothing: on davis, two such corruptions (object 5 of concepts 51 and
+    # 55) pass silently.  Every other single-bit corruption raises, in
+    # lectic order and in three shuffled ones.  Toy and davis's events have
+    # fewer objects than attributes, so their covers are found upwards,
+    # from derived extents, and a corrupted attribute concept that no step
+    # finds counts as a second bottom: none of their corruptions passes.
+    # One object in no attribute extent has two concepts, and either
+    # corruption gives both one extent
     rng = random.Random(206)
     davis_silent = {(51, 5), (55, 5)}
     single = FormalContext.from_rows(["g"], ["m"], [0])
@@ -500,17 +515,24 @@ def test_covers_reject_a_corrupted_extent(toy_ctx, toy_concepts, davis_ctx,
 def test_covers_let_through_what_lindigs_step_let_through():
     # 24 of this tall coin toss's 30 concepts take their one-attribute steps
     # as their lower neighbours, and its single-bit extent corruptions
-    # pass as they did when every concept took Lindig's step.  Objects 7
-    # and 12 lie in no attribute extent, so the top's extent and the
-    # attribute concepts' (ids 1, 2, 4, 8 and 16) are read as G and as m'
+    # pass as they did when every concept took Lindig's step, apart from
+    # the top's.  Objects 7 and 12 lie in no attribute extent, so the
+    # attribute concepts' extents (ids 1, 2, 4, 8 and 16) are read as m'
     # whether or not they hold them; and a corrupted attribute extent is
-    # checked against nothing
+    # checked against nothing.  The top's extent is checked against every
+    # object, so dropping 7 or 12 from it raises
     ctx = coin_toss_context(CoinTossSpec(40, 5, 0.5, 42))
     lectic = enumerate_concepts(ctx)
     assert len(stepping_concepts(ctx, lectic)) == 24
-    silent = {(0, 7), (0, 12), (1, 6), (1, 7), (1, 12), (1, 24), (2, 7),
-              (2, 12), (4, 7), (4, 12), (4, 34), (4, 39), (8, 7), (8, 12),
-              (16, 7), (16, 12), (16, 19)}
+    silent = {(1, 6), (1, 7), (1, 12), (1, 24), (2, 7), (2, 12), (4, 7),
+              (4, 12), (4, 34), (4, 39), (8, 7), (8, 12), (16, 7), (16, 12),
+              (16, 19)}
+    top = lectic[0]
+    for g in (7, 12):
+        wrong = FormalConcept(top.extent ^ 1 << g, top.intent)
+        with pytest.raises(ValueError,
+                           match="concept 0, the top, does not hold every"):
+            build_covers([wrong] + lectic[1:])
     rng = random.Random(212)
     for k in range(2):
         concepts = rng.sample(lectic, len(lectic)) if k else lectic
