@@ -7,16 +7,18 @@ has the highest priority), which makes them deterministic for a given
 context.  Id 0 is always the supremum (G, G') and the last id the infimum
 (M', M).
 
-Enumeration runs on the clarified view, a mask of one bit per row class
-where an extent would take one bit per object, and on whichever side of
-it has fewer items.  It is Close-by-One (Kuznetsov 1993): with no fewer
-row classes than attributes, it closes attribute sets and hands out
-concepts in lectic order; with fewer classes, it closes class sets and
-sorts the concepts once.  A lattice of C concepts costs at most
-C * min(classes, |M|) children.  The rule that picks a side compares the
-class count with |M| and reads nothing else: a coin-toss table of 14
-objects over 32 attributes (14 classes) takes the class side, and one of
-20,000 objects over 10 attributes (970 classes) the attribute side.
+Both stages run on one side, picked by one rule: the object side with
+fewer objects than attributes, the attribute side otherwise.  A coin-toss
+table of 14 objects over 32 attributes takes the object side, and one of
+20,000 objects over 10 attributes the attribute side.
+
+Enumeration is Close-by-One (Kuznetsov 1993).  On the attribute side it
+closes attribute sets over the clarified view, a mask of one bit per row
+class where an extent would take one bit per object, and hands out
+concepts in lectic order.  On the object side it closes object sets,
+stepping only to the first object of each row class, and sorts the
+concepts once.  A lattice of C concepts costs at most C * |M| children
+on the attribute side and C * classes on the object side.
 
 The lattice stores upper covers only: minimal generators, the one consumer
 of the order, read the faces to a concept's upper covers.  They come from
@@ -29,18 +31,16 @@ intent is B plus the attributes whose candidates equal e.  The step is
 needed only where some one-attribute step B ∪ {m}, m ∉ B, is not an
 intent: any lower neighbour holds some step and is that step wherever it
 is closed, so where every step is a listed intent, the steps are the
-lower neighbours.  With fewer objects than attributes, covers take the
-object side: the upper neighbours of (A, B) are the concepts whose intents
-are the maximal ones among B ∩ g', for the objects g outside A.  The two
-stages count different things, so with |G| >= |M| > classes enumeration
-takes the class side and covers the attribute side.  A lattice of C
-concepts thus costs at most |M \\ B| intent lookups per concept on the
-attribute side, and Lindig's min(|G|, |M|) candidates only for the
-concepts that have a step that is no intent (every concept, on the object
-side), with no closure and no comparison of concept pairs.  Attribute
-extents m' are read off the concepts themselves, which is why
-``build_covers`` needs the complete concept set of one context, and so,
-on the object side, are the objects' rows.
+lower neighbours.  On the object side, the upper neighbours of (A, B)
+are the concepts whose intents are the maximal ones among B ∩ g', for
+the objects g outside A.  A lattice of C concepts thus costs at most
+|M \\ B| intent lookups per concept on the attribute side, and Lindig's
+min(|G|, |M|) candidates only for the concepts that have a step that is
+no intent (every concept, on the object side), with no closure and no
+comparison of concept pairs.  Attribute extents m' are read off the
+concepts themselves, which is why ``build_covers`` needs the complete
+concept set of one context, and so, on the object side, are the objects'
+rows.
 """
 from __future__ import annotations
 
@@ -92,23 +92,26 @@ def enumerate_concepts(
 ) -> list[FormalConcept]:
     """All concepts of ``ctx`` in ascending lectic order of intents.
 
-    Close-by-One on the context's row classes (``ctx.class_rows`` and
-    ``ctx.class_cols``), on whichever side has fewer items: it closes
-    subsets of the attributes, or, when there are fewer row classes than
-    attributes, subsets of the classes.  Depth first from the closure of
-    the empty set, (X, Y) tries each item m ∉ Y past its own m, with one
+    Close-by-One on the side that ``build_covers`` takes: it closes
+    subsets of the attributes, or, when there are fewer objects than
+    attributes, subsets of the objects.  Depth first from the closure of
+    the empty set, (X, Y) tries each step m ∉ Y past its own m, with one
     AND for the child X ∩ m' and a walk over its members for Y', kept iff
     that adds nothing below m.  Children pop largest m first, a lectic
     pre-order: all under the child at m hold m and agree with Y below m,
-    and none under a larger m holds m.  A lattice of C concepts thus costs
-    at most C * min(classes, |M|) children.
+    and none under a larger m holds m.
 
-    On the attributes, Y is the intent and X the class extent, and a kept
-    child takes one more AND on the object columns for its extent, so the
-    concepts come out in lectic order.  On the classes, X is the intent
-    and Y the class extent; for each class a kept child adds, it ORs in
-    the objects whose rows hold that class's row, and the concepts are
-    sorted by ``lectic_key`` once at the end.
+    On the attributes, X is the class extent over the row classes
+    (``ctx.class_rows`` and ``ctx.class_cols``) and Y the intent, and a
+    kept child takes one more AND on the object columns for its extent, so
+    the concepts come out in lectic order, at most C * |M| children for a
+    lattice of C concepts.  On the objects, X is the intent and Y the
+    extent, and the steps are the first object of each row class only.  A
+    later object of a class joins every closure that holds the first, so
+    it never starts a kept child, and the test reads as on any object
+    set: every object below a class's first is in an earlier class, and a
+    closure holds whole classes.  That is at most C * classes children,
+    and the concepts are sorted by ``lectic_key`` once at the end.
 
     Raises ConceptBudgetExceeded as soon as the count would pass ``budget``,
     and ValueError, before any work, for a budget that is not a positive
@@ -116,18 +119,25 @@ def enumerate_concepts(
     """
     if not isinstance(budget, int) or budget < 1:
         raise ValueError("budget must be a positive int")
-    transposed = len(ctx.class_rows) < ctx.n_attributes
-    rows, cols = ctx.class_rows, ctx.class_cols
-    full, every = ctx.all_attributes, ctx.all_classes
-    obj_cols = ctx.cols
+    transposed = ctx.n_objects < ctx.n_attributes
     if transposed:
-        rows, cols, full, every = cols, rows, every, full
-        above = [ctx.derive_extent(row) for row in cols]
+        # each row class's first object: a later one joins every closure
+        # that holds the first, so it never starts a kept child
+        first: dict[int, int] = {}
+        for g, row in enumerate(ctx.rows):
+            first.setdefault(row, g)
+        steps = [1 << g for g in first.values()]
+        rows, cols = ctx.cols, ctx.class_rows
+        full, every = ctx.all_objects, ctx.all_attributes
+    else:
+        steps = [1 << m for m in range(ctx.n_attributes)]
+        rows, cols = ctx.class_rows, ctx.class_cols
+        full, every = ctx.all_attributes, ctx.all_classes
+    obj_cols = ctx.cols
     closed = reduce(and_, rows, full)
     concepts = []
-    # (X, the extent as objects, Y, first m)
-    stack = [(every, ctx.derive_extent(every if transposed else closed),
-              closed, 0)]
+    # (X, the extent as objects, Y, first step)
+    stack = [(every, closed if transposed else ctx.all_objects, closed, 0)]
     while stack:
         items, extent, closed, start = stack.pop()
         if len(concepts) >= budget:
@@ -136,7 +146,7 @@ def enumerate_concepts(
             )
         concepts.append(FormalConcept(extent, items if transposed else closed))
         for m in range(start, len(cols)):
-            bit = 1 << m
+            bit = steps[m]
             if closed & bit:
                 continue
             child = rest = items & cols[m]
@@ -146,15 +156,9 @@ def enumerate_concepts(
                 rest ^= low
                 acc &= rows[low.bit_length() - 1]
             if (acc ^ closed) & (bit - 1) == 0:
-                if transposed:
-                    objects, new = extent, acc & ~closed
-                    while new:
-                        low = new & -new
-                        new ^= low
-                        objects |= above[low.bit_length() - 1]
-                else:
-                    objects = extent & obj_cols[m]
-                stack.append((child, objects, acc, m + 1))
+                stack.append((child,
+                              acc if transposed else extent & obj_cols[m],
+                              acc, m + 1))
     if transposed:
         width = ctx.n_attributes
         concepts.sort(key=lambda c: lectic_key(c.intent, width))
@@ -233,9 +237,10 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     whose candidates are equal.  With fewer objects, a concept's upper
     neighbours are the maximal intents among B ∩ g', for the objects g
     outside B', with each row g' read off the attribute extents and B' the
-    AND of B's: at most min(|G|, |M|) candidates either way.  Enumeration
-    compares the row classes with |M| instead, so with |G| >= |M| >
-    classes the two take different sides.
+    AND of B's: at most min(|G|, |M|) candidates either way.
+    ``enumerate_concepts`` takes the same side, at most C * classes
+    children for C concepts on the object side and C * |M| on the
+    attribute side.
 
     The list is checked as it is read.  ValueError is raised, before any
     work, for a negative intent or extent.  It is raised for a list
@@ -244,7 +249,10 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     cover and exactly one that has no lower cover: the list is empty, the
     top is missing, or a concept is listed twice, whose other copy gets no
     covers because the intent index finds the last.  The top's extent must
-    hold every object.  Each other concept's listed extent is checked once,
+    hold every object, but the object count is read off the extents, so
+    a top without the last object, where that object lies in no attribute
+    extent, passes: the list is then the lattice of the context without
+    that object.  Each other concept's listed extent is checked once,
     at the first edge up from it: the lower extent must be the upper one
     ∩ m' for an attribute m that the lower concept adds, and the two must
     differ.  An attribute concept's extent is read as m', so that check

@@ -141,6 +141,40 @@ def test_enumerate_edge_cases(objects, attributes, rows, n_concepts, top,
     assert concepts[-1] == FormalConcept(bottom, ctx.all_attributes)
 
 
+def test_enumerate_on_the_object_side_with_repeated_rows():
+    # fewer objects than attributes, in fewer row classes than objects:
+    # Close-by-One steps only to each class's first object.  The first
+    # class's first and last objects are the first and last rows, so that
+    # every other object lies between them; each shape also with an
+    # all-zero row.  A row shuffle moves the extents' bits, not the ids
+    rng = random.Random(213)
+    for n, k, m, p in ((40, 16, 48, 0.5), (14, 8, 24, 0.5), (13, 6, 30, 0.3),
+                       (12, 5, 13, 0.6), (9, 3, 10, 0.5), (3, 1, 4, 0.5)):
+        for zero in (False, True):
+            patterns = {0} if zero else set()
+            while len(patterns) < k:  # no other all-zero row
+                patterns.add(sum(1 << j for j in range(m) if rng.random() < p)
+                             or 1)
+            patterns = rng.sample(sorted(patterns), k)
+            middle = patterns[1:] + [rng.choice(patterns)
+                                     for _ in range(n - k - 1)]
+            rng.shuffle(middle)
+            rows = [patterns[0]] + middle + [patterns[0]]
+            ctx = FormalContext.from_rows(
+                [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows)
+            assert n < m and len(ctx.class_rows) == k
+            concepts = assert_matches_next_closure(ctx)
+            if n <= 20:
+                assert concepts == brute_force_concepts(ctx)
+            order = rng.sample(range(n), n)
+            shuffled = FormalContext.from_rows(
+                [ctx.objects[g] for g in order], ctx.attributes,
+                [rows[g] for g in order])
+            assert [(set(shuffled.obj_names(c.extent)), c.intent)
+                    for c in enumerate_concepts(shuffled)] == \
+                [(set(ctx.obj_names(c.extent)), c.intent) for c in concepts]
+
+
 def test_extreme_concepts(toy_ctx, toy_concepts):
     top, bottom = toy_concepts[0], toy_concepts[-1]
     assert top.extent == toy_ctx.all_objects
@@ -215,11 +249,11 @@ def test_covers_fuzz_multiword_extents():
 
 def test_covers_fuzz_repeated_rows():
     # many objects over a few distinct rows, as in the object-heavy
-    # benchmark contexts, where enumeration runs on few row classes and
-    # covers on the attributes, over wide object masks.  Every other
-    # context ends with an all-zero row, an object in no attribute extent
-    # and above the last bit of each; the rest give every row attribute 0,
-    # so that the top intent is not empty
+    # benchmark contexts, where both stages run on the attributes:
+    # enumeration over few row classes and covers over wide object masks.
+    # Every other context ends with an all-zero row, an object in no
+    # attribute extent and above the last bit of each; the rest give every
+    # row attribute 0, so that the top intent is not empty
     rng = random.Random(205)
     for k in range(16):
         n, m = rng.randint(65, 300), rng.randint(1, 8)
@@ -342,15 +376,14 @@ def test_covers_of_brute_force_concepts():
 
 
 def test_both_sides_of_the_side_choice_fuzz():
-    # enumeration runs on the attributes or, with fewer row classes than
-    # attributes, on the classes; covers on the attributes or, with fewer
-    # objects than attributes, on the objects, so with |G| >= |M| > classes
-    # ("split") the two take different sides.  Shapes on either side and
-    # at the crossover (classes = |M| - 1, |M|, |M| + 1), with all-zero
-    # rows, no objects and no attributes; covers also on shuffled lists
+    # both stages run on the attributes or, with fewer objects than
+    # attributes, on the objects.  Shapes with fewer row classes than
+    # attributes, as many and more (classes = |M| - 1, |M|, |M| + 1), with
+    # all-zero rows, no objects and no attributes, on either side and with
+    # and without repeated rows; covers also on shuffled lists
     rng = random.Random(207)
+    shapes = Counter()
     sides = Counter()
-    covers_sides = Counter()
     for _ in range(300):
         m = rng.randint(0, 6)
         k = rng.choice((m - 1, m, m + 1, rng.randint(0, 2 * m + 1)))
@@ -362,9 +395,8 @@ def test_both_sides_of_the_side_choice_fuzz():
         ctx = FormalContext.from_rows(
             [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows)
         assert len(ctx.class_rows) == k
-        sides[(k > m) - (k < m), 0 in patterns, n == 0, m == 0] += 1
-        covers_sides["objects" if n < m else
-                     "split" if k < m else "attributes"] += 1
+        shapes[(k > m) - (k < m), 0 in patterns, n == 0, m == 0] += 1
+        sides[n < m, k < n] += 1
         concepts = enumerate_concepts(ctx)
         assert concepts == next_closure_oracle(ctx) == brute_force_concepts(ctx)
         lattice = build_covers(concepts)
@@ -380,26 +412,25 @@ def test_both_sides_of_the_side_choice_fuzz():
             assert not any(f & g == f for f in faces for g in faces if f != g)
             assert not any(f & forced for f in faces if f.bit_count() > 1)
     # fewer classes, as many, and more; with and without an all-zero row
-    for side in (-1, 0, 1):
+    for classes in (-1, 0, 1):
         for zero in (False, True):
-            assert sides[side, zero, False, False]
-    assert sides[-1, False, True, False]  # no objects
-    assert sides[1, True, False, True]  # no attributes
-    assert covers_sides["objects"] and covers_sides["attributes"]
-    assert covers_sides["split"]
+            assert shapes[classes, zero, False, False]
+    assert shapes[-1, False, True, False]  # no objects
+    assert shapes[1, True, False, True]  # no attributes
+    # either side, with and without repeated rows
+    assert len(sides) == 4
 
 
 def test_covers_take_the_object_side_with_fewer_objects():
     # covers step up from the objects where there are fewer of them than
-    # attributes, and down from the attributes otherwise, while enumeration
-    # compares the row classes with the attributes: with |G| >= |M| >
-    # classes, the two stages take different sides.  A missing neighbour
-    # is named by the step that looks for it: upper on the object side,
-    # lower on the attribute side.  8 attributes over 7, 8 and 9 objects,
-    # each its own row class or 7 and 6 classes repeated, with and without
-    # an all-zero row.  That row is the last object: it lies in no
-    # attribute extent, but the top's extent holds it, so 8 objects with
-    # one in no attribute extent do not count as 7
+    # attributes, and down from the attributes otherwise, as enumeration
+    # closes object or attribute sets.  A missing neighbour is named by
+    # the step that looks for it: upper on the object side, lower on the
+    # attribute side.  8 attributes over 7, 8 and 9 objects, each its own
+    # row class or 7 and 6 classes repeated, with and without an all-zero
+    # row.  That row is the last object: it lies in no attribute extent,
+    # but the top's extent holds it, so 8 objects with one in no attribute
+    # extent do not count as 7
     rng = random.Random(208)
     m = 8
     for n, k in ((7, 7), (8, 8), (9, 9), (8, 7), (9, 7), (12, 6)):
@@ -545,6 +576,26 @@ def test_covers_let_through_what_lindigs_step_let_through():
                     continue
                 passed.add((lectic.index(c), g))
         assert passed == silent
+
+
+def test_covers_take_a_top_without_its_last_object_in_no_attribute_extent(
+        toy_ctx, toy_concepts):
+    # the objects are read off the extents, so a top that lacks the last
+    # object, where that object lies in no attribute extent, cannot be told
+    # from the lattice of the context without that object: it passes.  Toy
+    # with an all-zero sixth row (the object side) and the tall coin toss
+    # above with an all-zero 41st row (the attribute side)
+    tall = coin_toss_context(CoinTossSpec(40, 5, 0.5, 42))
+    for base, lectic in ((toy_ctx, toy_concepts),
+                         (tall, enumerate_concepts(tall))):
+        n = base.n_objects
+        ctx = FormalContext.from_rows(list(base.objects) + ["empty"],
+                                      base.attributes, list(base.rows) + [0])
+        top, *rest = enumerate_concepts(ctx)
+        listed = [FormalConcept(top.extent ^ 1 << n, top.intent)] + rest
+        assert listed == lectic
+        assert build_covers(listed).upper_covers == \
+            build_covers(lectic).upper_covers
 
 
 def test_single_concept_lattice():

@@ -217,6 +217,21 @@ def test_stability_matches_the_full_subset_count_on_793x10():
         assert stability(ctx, concept) == stability_dfs(ctx, concept)
 
 
+def assert_bonferroni_bounds(numerator, concepts, upper_covers, i):
+    """The first- and second-order Bonferroni bounds hold on concept i's
+    stability numerator, the count of the subsets of B that meet every
+    face B \\ Bu, with the faces read off ``upper_covers``."""
+    b = concepts[i].intent
+    faces = [b & ~concepts[u].intent for u in upper_covers[i]]
+    whole = 1 << b.bit_count()
+    first = whole - sum(whole >> f.bit_count() for f in faces)
+    second = first + sum(whole >> (f | g).bit_count()
+                         for f, g in combinations(faces, 2))
+    assert first <= numerator <= second
+    assert numerator <= whole - max(
+        (whole >> f.bit_count() for f in faces), default=0)
+
+
 def test_stability_by_inclusion_exclusion_over_the_faces(
         toy_ctx, toy_concepts, davis_ctx, davis_concepts):
     # exact, and exponential in the faces, not in |B|: the bottom of this
@@ -236,14 +251,7 @@ def test_stability_by_inclusion_exclusion_over_the_faces(
             if k <= 16:
                 assert exact == stability_dfs(ctx, concept)
                 full_subsets += 1
-            faces = [concept.intent & ~concepts[u].intent for u in covers[i]]
-            whole = 1 << k
-            first = whole - sum(whole >> f.bit_count() for f in faces)
-            second = first + sum(whole >> (f | g).bit_count()
-                                 for f, g in combinations(faces, 2))
-            assert first <= exact.numerator <= second
-            assert exact.numerator <= whole - max(
-                (whole >> f.bit_count() for f in faces), default=0)
+            assert_bonferroni_bounds(exact.numerator, concepts, covers, i)
     assert concepts[-1].intent.bit_count() == 28 and len(covers[-1]) == 14
     assert full_subsets == 13 + len(davis_concepts) + 746
     # the guard counts faces: one more than it allows, on a 21-bit intent
@@ -253,6 +261,24 @@ def test_stability_by_inclusion_exclusion_over_the_faces(
     with pytest.raises(ValueError, match="faces"):
         stability_by_faces([bottom] + uppers,
                            [tuple(range(1, MAX_FACES + 2))], 0)
+
+
+def test_bonferroni_bounds_past_the_face_guard():
+    # concepts with more upper covers than the face oracle allows, and at
+    # most 30 attributes, so that both counters score them: 16 on this
+    # sparse 500x100 coin toss, with 21 to 37 faces and |B| <= 12, and 2 on
+    # the 300x60 one.  The faces come from the covers oracle
+    for n, m, p, wide in ((500, 100, 0.05, 16), (300, 60, 0.08, 2)):
+        ctx = coin_toss_context(CoinTossSpec(n, m, p, 42))
+        concepts = enumerate_concepts(ctx)
+        covers = upper_covers_oracle(concepts)
+        past = [i for i, c in enumerate(concepts)
+                if len(covers[i]) > MAX_FACES and c.intent.bit_count() <= 30]
+        assert len(past) == wide
+        for i in past:
+            score = stability(ctx, concepts[i])
+            assert score == stability_dfs(ctx, concepts[i])
+            assert_bonferroni_bounds(score.numerator, concepts, covers, i)
 
 
 def _edge_cases(ctx):
