@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter
 from typing import Sequence
 
-from .context import FormalContext
+from .context import FormalContext, Record
 from .generators import IntentTooLarge
 from .lattice import (
     DEFAULT_CONCEPT_BUDGET,
@@ -43,27 +42,43 @@ class LengthMismatch(ValueError):
     """Paired inputs differ in length."""
 
 
-@dataclass
-class ScoreRow:
+class ScoreRow(Record):
     """One concept's scores and times, with None and 0 in the fields of an
     index not computed.  The field order is the CSV column order
-    (REPORT_COLUMNS).  Not frozen: a frozen row measured 5% slower on
-    the benchmark's paper-793x10-timed pipeline."""
-    concept_id: int
-    extent_size: int
-    intent_size: int
-    alpha: Fraction | None = None
-    beta: Fraction | None = None
-    becr: Fraction | None = None
-    stability: Fraction | None = None
-    n_mingen: int | None = None
-    n_base: int | None = None
-    n_equiv: int | None = None
-    t_becr_ns: int = 0
-    t_stability_ns: int = 0
+    (REPORT_COLUMNS).  Mutable, with its fields in ``__slots__``: a frozen
+    row, set through ``object.__setattr__``, made the benchmark's
+    ``pipeline_s`` 1.02x on paper-793x10-timed and 1.07x on
+    lattice-1000x16, and a NamedTuple row 1.00x on both (medians of 4-5
+    alternating runs)."""
+
+    __slots__ = __match_args__ = (
+        "concept_id", "extent_size", "intent_size", "alpha", "beta", "becr",
+        "stability", "n_mingen", "n_base", "n_equiv", "t_becr_ns",
+        "t_stability_ns",
+    )
+
+    def __init__(self, concept_id: int, extent_size: int, intent_size: int,
+                 alpha: Fraction | None = None, beta: Fraction | None = None,
+                 becr: Fraction | None = None,
+                 stability: Fraction | None = None,
+                 n_mingen: int | None = None, n_base: int | None = None,
+                 n_equiv: int | None = None, t_becr_ns: int = 0,
+                 t_stability_ns: int = 0):
+        self.concept_id = concept_id
+        self.extent_size = extent_size
+        self.intent_size = intent_size
+        self.alpha = alpha
+        self.beta = beta
+        self.becr = becr
+        self.stability = stability
+        self.n_mingen = n_mingen
+        self.n_base = n_base
+        self.n_equiv = n_equiv
+        self.t_becr_ns = t_becr_ns
+        self.t_stability_ns = t_stability_ns
 
 
-REPORT_COLUMNS = tuple(f.name for f in fields(ScoreRow))
+REPORT_COLUMNS = ScoreRow.__match_args__
 # all but the two timing columns
 _UNTIMED_COLUMNS = REPORT_COLUMNS[:-2]
 
@@ -79,13 +94,22 @@ INDEXES = {
 }
 
 
-@dataclass
-class ComparisonReport:
-    rows: list[ScoreRow]
-    pearson_xi: float | None
-    mean_time_becr_ns: float
-    mean_time_stability_ns: float
-    dataset_stats: tuple[int, int, int, int, float]  # |G| |M| |I| |C| density
+class ComparisonReport(Record):
+    """The score rows of a run with its summary: Pearson's coefficient
+    (None where undefined), the mean times and ``dataset_stats``, which is
+    (|G|, |M|, |I|, |C|, density)."""
+
+    __slots__ = __match_args__ = ("rows", "pearson_xi", "mean_time_becr_ns",
+                                  "mean_time_stability_ns", "dataset_stats")
+
+    def __init__(self, rows: list[ScoreRow], pearson_xi: float | None,
+                 mean_time_becr_ns: float, mean_time_stability_ns: float,
+                 dataset_stats: tuple[int, int, int, int, float]):
+        self.rows = rows
+        self.pearson_xi = pearson_xi
+        self.mean_time_becr_ns = mean_time_becr_ns
+        self.mean_time_stability_ns = mean_time_stability_ns
+        self.dataset_stats = dataset_stats
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -35,9 +35,7 @@ attributes are all objects.
 """
 from __future__ import annotations
 
-import csv as _csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -101,8 +99,54 @@ def _transpose(digits: Iterable[str], m: int) -> tuple[int, ...]:
     return tuple(int("0" + table[m - 1 - j::m], 2) for j in range(m))
 
 
-@dataclass(frozen=True)
-class FormalContext:
+class Record:
+    """Base of the package's record types, which are plain classes.
+
+    A record names its fields, in constructor order, in ``__match_args__``
+    and sets them in its ``__init__``.  Two records are equal when they are
+    of one class and their fields are equal, and a record reprs as
+    ``Name(field=value, ...)``.  A Record is mutable and unhashable.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record hashed by its fields, which its ``__init__`` sets through
+    ``object.__setattr__`` or its ``__dict__``: assigning or deleting an
+    attribute afterwards raises AttributeError.  Copies and pickles are
+    built by the constructor, since the default ones assign the slots."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FormalContext(FrozenRecord):
     """Immutable binary context: its names and one attribute mask per object.
 
     ``FormalContext(objects, attributes, rows)`` is a checked constructor:
@@ -110,31 +154,30 @@ class FormalContext:
     that is not a non-empty ``str`` or that repeats, for a row count other
     than the object count, and for a row that is not an ``int`` mask over
     the attributes.  ``from_rows`` is the same constructor for any
-    iterables.
+    iterables.  ``rows[g]`` is the attribute mask of object g.
 
     Every other view, the full masks included, is derived from ``rows`` on
-    first read and kept on the instance.  None is a field, so none plays a
-    part in equality, hash or repr.  ``cols[m]`` is the mask of the objects
-    that hold attribute m, and ``class_rows`` and ``class_cols`` are the
-    clarified view.  ``class_rows[c]`` is the c-th distinct row in
-    first-seen order (row class c), and ``class_cols[m]`` the mask of the
-    classes whose row holds attribute m.  An object mask A that is a union
-    of row classes, as every extent is, maps to the class mask of its
-    objects' classes.
+    first read and kept in the instance's ``__dict__``.  None is a field,
+    so none plays a part in equality, hash or repr.  ``cols[m]`` is the
+    mask of the objects that hold attribute m, and ``class_rows`` and
+    ``class_cols`` are the clarified view.  ``class_rows[c]`` is the c-th
+    distinct row in first-seen order (row class c), and ``class_cols[m]``
+    the mask of the classes whose row holds attribute m.  An object mask A
+    that is a union of row classes, as every extent is, maps to the class
+    mask of its objects' classes.
     """
 
-    objects: tuple[str, ...]
-    attributes: tuple[str, ...]
-    rows: tuple[int, ...]  # rows[g] = attribute mask of object g
+    __match_args__ = ("objects", "attributes", "rows")
 
-    def __post_init__(self):
+    def __init__(self, objects: tuple[str, ...], attributes: tuple[str, ...],
+                 rows: tuple[int, ...]):
         # a list field would leave the context unhashable, and its derived
         # views stale once the list changed
-        for name in ("objects", "attributes", "rows"):
-            if not isinstance(getattr(self, name), tuple):
+        for name, value in zip(self.__match_args__,
+                               (objects, attributes, rows)):
+            if not isinstance(value, tuple):
                 raise ValueError(f"{name} must be a tuple; use from_rows")
-        for kind, names in (("object", self.objects),
-                            ("attribute", self.attributes)):
+        for kind, names in (("object", objects), ("attribute", attributes)):
             seen = set()
             for name in names:
                 if not isinstance(name, str):
@@ -144,17 +187,18 @@ class FormalContext:
                 if name in seen:
                     raise ValueError(f"duplicate {kind} name {name!r}")
                 seen.add(name)
-        if len(self.rows) != len(self.objects):
+        if len(rows) != len(objects):
             raise ValueError(
-                f"{len(self.objects)} object names but {len(self.rows)} rows"
+                f"{len(objects)} object names but {len(rows)} rows"
             )
-        m = len(self.attributes)
+        m = len(attributes)
         try:
-            for g, row in enumerate(self.rows):
+            for g, row in enumerate(rows):
                 if row < 0 or row >> m:
                     raise ValueError(f"row {g} has bits outside {m} attributes")
         except TypeError:  # a float, a str, None: no bit operations
             raise ValueError(f"row {g} is not an int") from None
+        vars(self).update(objects=objects, attributes=attributes, rows=rows)
 
     @classmethod
     def from_rows(cls, objects: Iterable[str], attributes: Iterable[str],
@@ -381,9 +425,11 @@ def parse_csv(text: str) -> FormalContext:
     column and is ignored).  Each data row starts with the object name,
     followed by cells in {'1', '0', ''}; empty means no incidence.
     """
+    import csv  # only this parser and concepts_csv read or write CSV
+
     try:
-        records = [r for r in _csv.reader(io.StringIO(text)) if r]
-    except _csv.Error as err:  # e.g. a field over the csv module's size limit
+        records = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as err:  # e.g. a field over the csv module's size limit
         raise MalformedRow(f"unreadable CSV: {err}") from None
     if not records:
         raise MalformedHeader("missing CSV header row")

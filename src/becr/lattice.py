@@ -44,13 +44,11 @@ rows.
 """
 from __future__ import annotations
 
-import csv as _csv
 import io
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, attrgetter
 
-from .context import AttrSet, FormalContext, ObjSet
+from .context import AttrSet, FormalContext, FrozenRecord, ObjSet, Record
 
 DEFAULT_CONCEPT_BUDGET = 1_000_000
 BRUTE_FORCE_MAX_OBJECTS = 20
@@ -64,10 +62,15 @@ class ContextTooLarge(ValueError):
     """Context exceeds a brute-force guard."""
 
 
-@dataclass(frozen=True)
-class FormalConcept:
-    extent: ObjSet
-    intent: AttrSet
+class FormalConcept(FrozenRecord):
+    """An immutable concept: its extent, an object mask, and its intent,
+    an attribute mask."""
+
+    __slots__ = __match_args__ = ("extent", "intent")
+
+    def __init__(self, extent: ObjSet, intent: AttrSet):
+        object.__setattr__(self, "extent", extent)
+        object.__setattr__(self, "intent", intent)
 
 
 def lectic_key(intent: AttrSet, width: int) -> int:
@@ -189,13 +192,16 @@ def brute_force_concepts(ctx: FormalContext) -> list[FormalConcept]:
     ]
 
 
-@dataclass
-class ConceptLattice:
+class ConceptLattice(Record):
     """Concepts plus their upper covers: ``upper_covers[i]`` holds the ids
     of the concepts directly above concept i, in ascending order."""
 
-    concepts: list[FormalConcept]
-    upper_covers: list[tuple[int, ...]]
+    __match_args__ = ("concepts", "upper_covers")
+
+    def __init__(self, concepts: list[FormalConcept],
+                 upper_covers: list[tuple[int, ...]]):
+        self.concepts = concepts
+        self.upper_covers = upper_covers
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -420,8 +426,10 @@ def _join_names(names: list[str]) -> str:
 def concepts_csv(ctx: FormalContext, concepts: list[FormalConcept]) -> str:
     """Concept list as CSV: id, ';'-joined extent names, ';'-joined intent
     names, with a backslash written before each '\\' and ';' in a name."""
+    import csv  # only this writer and parse_csv read or write CSV
+
     buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "extent", "intent"])
     for i, c in enumerate(concepts):
         writer.writerow([i, _join_names(ctx.obj_names(c.extent)),

@@ -9,31 +9,34 @@ identifies one context bit for bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from numbers import Real
 
-from .context import FormalContext
+from .context import FormalContext, FrozenRecord
 
 
-@dataclass(frozen=True)
-class CoinTossSpec:
-    n_objects: int
-    n_attributes: int
-    density: float  # Bernoulli probability of an incidence
-    seed: int
+class CoinTossSpec(FrozenRecord):
+    """An immutable coin-toss table shape: ``density`` is the Bernoulli
+    probability of an incidence."""
 
-    def __post_init__(self):
+    __slots__ = __match_args__ = ("n_objects", "n_attributes", "density",
+                                  "seed")
+
+    def __init__(self, n_objects: int, n_attributes: int, density: float,
+                 seed: int):
         # a float count would fail later in range(), and a str density in
         # the comparison; seed=None seeds from OS entropy, so the context
         # would no longer follow from (spec, seed)
-        for name in ("n_objects", "n_attributes"):
-            value = getattr(self, name)
+        for name, value in (("n_objects", n_objects),
+                            ("n_attributes", n_attributes)):
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an int of at least 1")
-        if not (isinstance(self.density, Real) and 0 <= self.density <= 1):
+        if not (isinstance(density, Real) and 0 <= density <= 1):
             raise ValueError("density must be a real number in [0, 1]")
-        if not isinstance(self.seed, int):
+        if not isinstance(seed, int):
             raise ValueError("seed must be an int")
+        for name, value in zip(self.__match_args__,
+                               (n_objects, n_attributes, density, seed)):
+            object.__setattr__(self, name, value)
 
 
 def coin_toss_context(spec: CoinTossSpec) -> FormalContext:

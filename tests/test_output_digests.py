@@ -17,8 +17,8 @@ GEN_793 = ["--objects", "793", "--attributes", "10", "--density", "0.41",
            "--seed", "42"]
 # alpha's per-member pass runs on 85% of its concepts, whose intents hold
 # a member outside ∩H; its 32 columns are distinct, so both base rules
-# print the same table.  Its 14 row classes are fewer than its 32
-# attributes, so its concepts are enumerated on the class side
+# print the same table.  Its 14 objects are fewer than its 32
+# attributes, so both lattice stages take the object side
 GEN_14x32 = ["--objects", "14", "--attributes", "32", "--density", "0.6",
              "--seed", "42"]
 # 755 concepts, 296 of them with one minimal generator, whose stability
