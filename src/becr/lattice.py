@@ -21,26 +21,16 @@ concepts once.  A lattice of C concepts costs at most C * |M| children
 on the attribute side and C * classes on the object side.
 
 The lattice stores upper covers only: minimal generators, the one consumer
-of the order, read the faces to a concept's upper covers.  They come from
-Lindig's neighbour step (Lindig 2000, "Fast concept analysis"), on object
-and attribute masks; covers read no row class.  On the attribute side, the
-lower neighbours of (A, B) are the concepts whose extents are the maximal
-ones among the candidates A ∩ m', m ∉ B.  For a maximal candidate e, an
-attribute n ∉ B has e ⊆ n' exactly when A ∩ n' = e, so the neighbour's
-intent is B plus the attributes whose candidates equal e.  The step is
-needed only where some one-attribute step B ∪ {m}, m ∉ B, is not an
-intent: any lower neighbour holds some step and is that step wherever it
-is closed, so where every step is a listed intent, the steps are the
-lower neighbours.  On the object side, the upper neighbours of (A, B)
-are the concepts whose intents are the maximal ones among B ∩ g', for
-the objects g outside A.  A lattice of C concepts thus costs at most
-|M \\ B| intent lookups per concept on the attribute side, and Lindig's
-min(|G|, |M|) candidates only for the concepts that have a step that is
-no intent (every concept, on the object side), with no closure and no
-comparison of concept pairs.  Attribute extents m' are read off the
-concepts themselves, which is why ``build_covers`` needs the complete
-concept set of one context, and so, on the object side, are the objects'
-rows.
+of the order, read the faces to a concept's upper covers.  Covers step up
+from each concept (A, B) on the same side.  On the attributes, each listed
+removal B \\ {m} is an upper neighbour, and the others are the maximal
+intents among B ∩ g', for the objects g of F' \\ A, where F holds the
+removed members m.  On the objects, they are the maximal intents among
+B ∩ g' for the objects g outside A: Lindig's neighbour step (Lindig 2000,
+"Fast concept analysis").  No closure is computed and no two concepts are
+compared.  Attribute extents m' are read off the concepts themselves, which
+is why ``build_covers`` needs the complete concept set of one context, and
+so, on the object side, are the objects' rows.
 """
 from __future__ import annotations
 
@@ -222,50 +212,45 @@ class ConceptLattice(Record):
 
 
 def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
-    """Upper covers from the one-attribute steps of each intent, and
-    Lindig's neighbour step where a step is no intent.
+    """Upper covers, stepped up from each concept (A, B): one-attribute
+    removals on the attribute side, Lindig's neighbour step on the object
+    side.
 
     ``concepts`` must be the complete concept set of one context, as
     ``enumerate_concepts`` returns it, in any order; the ids of the result
     are positions in that list, and each cover tuple is ascending.  Each
-    attribute extent m' is read off one concept, the attribute concept
-    ({m}', {m}''), so the list must hold every attribute concept: without
-    one, m' is read off a smaller extent and the covers are not checked.
-    The objects are the bits below the widest listed extent's highest one.
+    attribute extent m' is read off the attribute concept ({m}', {m}''), so
+    the list must hold every attribute concept.  The objects are the bits
+    below the widest listed extent's highest one.
 
-    The step runs on the smaller side, the objects or the attributes, as
-    object and attribute masks.  With no fewer objects than attributes, a
-    concept first looks up its steps B ∪ {m}, m ∉ B, in the list, stopping
-    at the first that is no intent: at most |M \\ B| lookups.  Where all
-    are intents, they are its lower neighbours, with no candidate.
-    Otherwise its lower neighbours are the maximal extents among A ∩ m',
-    m ∉ B, on its listed extent A, whose intents are B plus the attributes
-    whose candidates are equal.  With fewer objects, a concept's upper
+    With no fewer objects than attributes, F holds the members m ∈ B whose
+    removal B \\ {m} is listed, and each such removal is an upper
+    neighbour.  A face of two or more members misses F, as faces are
+    pairwise incomparable, so where F = B, or F' = A, there is no other.
+    Otherwise F' \\ A is split on the columns of B \\ F, one AND per part
+    and column: each part's pattern is B ∩ g' for its objects g, and the
+    maximal patterns are the other upper neighbours.  That is |B| lookups
+    per concept, and ANDs only where F ≠ B.  With fewer objects, the upper
     neighbours are the maximal intents among B ∩ g', for the objects g
-    outside B', with each row g' read off the attribute extents and B' the
-    AND of B's: at most min(|G|, |M|) candidates either way.
-    ``enumerate_concepts`` takes the same side, at most C * classes
-    children for C concepts on the object side and C * |M| on the
-    attribute side.
+    outside A = B', each row g' read off the attribute extents: at most
+    min(|G|, |M|) candidates per concept.
 
     The list is checked as it is read.  ValueError is raised, before any
-    work, for a negative intent or extent.  It is raised for a list
-    without the bottom concept (M', M), for a neighbour that the list
-    lacks, and for a list without exactly one concept that has no upper
-    cover and exactly one that has no lower cover: the list is empty, the
-    top is missing, or a concept is listed twice, whose other copy gets no
-    covers because the intent index finds the last.  The top's extent must
-    hold every object, but the object count is read off the extents, so
-    a top without the last object, where that object lies in no attribute
-    extent, passes: the list is then the lattice of the context without
-    that object.  Each other concept's listed extent is checked once,
-    at the first edge up from it: the lower extent must be the upper one
-    ∩ m' for an attribute m that the lower concept adds, and the two must
-    differ.  An attribute concept's extent is read as m', so that check
-    may compare it with itself, and a corruption of it can pass.  A listed
-    intent that is not closed raises too, so that no concept takes it for
-    a step: a step with the concept's own extent counts as a neighbour not
-    listed, and a Lindig candidate equal to A names the intent.
+    work, for a negative intent or extent; for a list without the bottom
+    concept (M', M); for a neighbour that the list lacks; and for a list
+    without exactly one concept that has no upper cover and exactly one
+    that has no lower cover: the list is empty, the top is missing, or a
+    concept is listed twice, whose other copy gets no covers.  The top's
+    extent must hold every object.  On the attribute side, each other
+    listed extent A must be U' ∩ n' over the whole face to its first upper
+    neighbour U, and differ from every upper extent; on the object side, it
+    must be the AND of B's attribute extents.  An intent that an object
+    outside A holds raises as not closed.
+
+    Two kinds of corruption can pass.  An attribute concept's extent is
+    read as m', so its check compares it in part with itself.  And a top
+    without the last object, where that object lies in no attribute extent,
+    reads as the top of the context without that object.
     """
     # a negative mask has no highest bit, and the attribute-extent pass
     # below would never run out of bits
@@ -287,9 +272,8 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
             bit = new & -new
             new ^= bit
             ext[bit] = c.extent
-    # the widest listed extent, the top's, spans the objects: the object
-    # side steps up from those outside B', and the top is checked against
-    # all of them below
+    # the widest listed extent, the top's, spans the objects: F' and B' are
+    # ANDs over them, and the top is checked against all of them below
     width = max((c.extent for c in concepts), default=0).bit_length()
     every = (1 << width) - 1
     # the bottom's intent is M, attributes 0 to |M| - 1 of its context
@@ -298,109 +282,136 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     transposed = width < len(ext)
     if transposed:
         # object g's row: the attributes whose extents hold g
-        side, direction = every, "an upper"
-        cols = {1 << g: sum(bit for bit, e in ext.items() if e >> g & 1)
+        rows = {1 << g: sum(bit for bit, e in ext.items() if e >> g & 1)
                 for g in range(width)}
-    else:
-        side, cols, direction = attributes, ext, "a lower"
-    # upper[i]: the upper covers of concept i, whichever side finds them;
-    # has_lower[i]: whether concept i has a lower cover
+    extents = [c.extent for c in concepts]
     upper: list[list[int]] = [[] for _ in concepts]
     has_lower = [False] * len(concepts)
-
-    def extent_holds(low: int, high: int) -> bool:
-        # the first edge up from the lower concept checks its listed extent:
-        # that is the upper one ∩ n' for each attribute n the lower concept
-        # adds, and any other extent is a neighbour not listed
-        below, above = concepts[low], concepts[high]
-        new = below.intent ^ above.intent
-        return (below.extent == above.extent & ext[new & -new]
-                and below.extent != above.extent)
-
     for i, c in enumerate(concepts):
-        b = c.intent
+        a, b = c.extent, c.intent
         # a concept listed twice: the index finds the last copy, and any
         # other gets no covers
         if index[b] != i:
             continue
+        up = upper[i]
         if not transposed:
-            # a lower neighbour D holds some step B ∪ {m}, m ∉ B, and is
-            # that step wherever it is closed: where every step is a listed
-            # intent, the steps are the lower neighbours, with no candidate.
-            # That takes each listed intent for closed, so each concept
-            # checks its own: a step with B's extent shows that B is not
-            # closed, as a Lindig candidate equal to A does below
-            lower = []
-            rest = attributes & ~b
+            # F, the members whose removal is listed: no intent lies between
+            # two sets one attribute apart, so each removal is a neighbour
+            f, rest = 0, b
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                j = index.get(b | bit)
-                if j is None:
-                    break
-                lower.append(j)
-            else:
-                for j in lower:
-                    if (concepts[j].extent == c.extent
-                            or not (upper[j] or extent_holds(j, i))):
-                        raise ValueError(f"concept {i} has a lower neighbour "
-                                         "missing from the list")
-                    upper[j].append(i)
-                has_lower[i] = bool(lower)
-                continue
-        x, y = c.extent, b
-        if transposed:
-            # B' is derived from the attribute extents, not listed: the
-            # listed extent is checked at the first edge up, and candidates
-            # read off it would let some corruptions of it through
-            x, y, rest = b, every, b
+                j = index.get(b ^ bit)
+                if j is not None:
+                    up.append(j)
+                    has_lower[j] = True
+                    f |= bit
+            face = f & -f
+            # a face of two or more members misses F, as faces are pairwise
+            # incomparable, so its neighbour's extent holds an object of
+            # F' \ A
+            if f != b:
+                rest, objs = f, every & ~a
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    objs &= ext[bit]
+                if objs:
+                    # split on the columns of B \ F: each part's pattern
+                    # is B ∩ g' for its objects g
+                    parts, patterns = [objs], [f]
+                    rest = b ^ f
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        col = ext[bit]
+                        for k in range(len(parts)):
+                            objs = parts[k]
+                            inside = objs & col
+                            if inside == objs:
+                                patterns[k] |= bit
+                            elif inside:
+                                parts[k] ^= inside
+                                parts.append(inside)
+                                patterns.append(patterns[k] | bit)
+                    kept: list[int] = []
+                    for p in sorted(patterns, key=int.bit_count, reverse=True):
+                        for q in kept:
+                            if p & q == p:
+                                break
+                        else:
+                            # an object outside A that holds all of B
+                            if p == b:
+                                raise ValueError(f"concept {i} has an intent "
+                                                 "that is not closed")
+                            kept.append(p)
+                            j = index.get(p)
+                            if j is None:
+                                raise ValueError(f"concept {i} has an upper "
+                                                 "neighbour missing from the "
+                                                 "list")
+                            up.append(j)
+                            has_lower[j] = True
+                    if not face:
+                        face = b ^ kept[0]
+            if up:
+                # an upper extent equal to A shows an intent that is not
+                # closed, and the first edge up checks the listed extent: it
+                # is the upper one ∩ n' over the whole face
+                if a in map(extents.__getitem__, up):
+                    raise ValueError(f"concept {i} has an intent that is not "
+                                     "closed")
+                e = extents[up[0]]
+                while face:
+                    bit = face & -face
+                    face ^= bit
+                    e &= ext[bit]
+                if e != a:
+                    raise ValueError(f"concept {i} has an upper neighbour "
+                                     "missing from the list")
+        else:
+            # candidates read off the listed extent would let some
+            # corruptions of it through: it must be B', derived here
+            y, rest = every, b
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 y &= ext[bit]
-        candidates = []
-        rest = side & ~y
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            e = x & cols[bit]
-            candidates.append((e.bit_count(), bit, e))
-        # largest first, so one that no kept neighbour contains is maximal: a
-        # strictly smaller candidate has fewer bits; the bits are distinct,
-        # so no two candidates are ever compared
-        candidates.sort(reverse=True)
-        # a candidate equal to X: some item outside the concept holds all
-        # of it, so B is not closed (on the object side, X is B itself, and
-        # no object outside B' holds it)
-        if candidates and candidates[0][2] == x:
-            raise ValueError(f"concept {i} has an intent that is not closed")
-        # [X, size, Y]: maximal candidates, merged with equal ones
-        neighbours: list[list[int]] = []
-        for size, bit, e in candidates:
-            for n in neighbours:
-                if e & n[0] == e:
-                    if size == n[1]:
-                        n[2] |= bit
-                    break
-            else:
-                neighbours.append([e, size, y | bit])
-        for e, _, y in neighbours:
-            j = index.get(e if transposed else y)
-            # a missing top, on the object side, is left to the count of
-            # tops below; on the attribute side this test would find the
-            # bottom, which is checked above
-            if j is None and y == side:
-                continue
-            # the object side steps up from i, the attribute side down.  Two
-            # conditionals, not one swapped tuple: building that tuple on
-            # every edge made covers about 2% slower
-            low = i if transposed else j
-            high = j if transposed else i
-            if j is None or not (upper[low] or extent_holds(low, high)):
-                raise ValueError(f"concept {i} has {direction} neighbour "
-                                 "missing from the list")
-            upper[low].append(high)
-            has_lower[high] = True
+            if y != a:
+                raise ValueError(f"concept {i} has an extent that is not "
+                                 "its intent's")
+            candidates = []
+            rest = every & ~y
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                e = b & rows[bit]
+                candidates.append((e.bit_count(), bit, e))
+            # largest first, so one that no kept neighbour contains is
+            # maximal: a strictly smaller candidate has fewer bits; the bits
+            # are distinct, so no two candidates are ever compared
+            candidates.sort(reverse=True)
+            # [intent, size, objects]: maximal candidates, merged with equal
+            # ones
+            neighbours: list[list[int]] = []
+            for size, bit, e in candidates:
+                for n in neighbours:
+                    if e & n[0] == e:
+                        if size == n[1]:
+                            n[2] |= bit
+                        break
+                else:
+                    neighbours.append([e, size, y | bit])
+            for e, _, objs in neighbours:
+                j = index.get(e)
+                if j is None:
+                    # a missing top is left to the count of tops below
+                    if objs == every:
+                        continue
+                    raise ValueError(f"concept {i} has an upper neighbour "
+                                     "missing from the list")
+                up.append(j)
+                has_lower[j] = True
     tops = upper.count([])
     if tops != 1:
         raise ValueError(f"{tops} concepts have no upper cover; the top "
@@ -412,10 +423,7 @@ def build_covers(concepts: list[FormalConcept]) -> ConceptLattice:
     if bottoms != 1:
         raise ValueError(f"{bottoms} concepts have no lower cover; the "
                          "bottom alone must have none")
-    # the attribute side appends in id order; the object side in the order
-    # of each concept's neighbours
-    lattice.upper_covers = [tuple(sorted(u) if transposed else u)
-                            for u in upper]
+    lattice.upper_covers = list(map(tuple, map(sorted, upper)))
     return lattice
 
 

@@ -282,59 +282,68 @@ def test_covers_fuzz_repeated_rows():
             lattice.upper_covers
 
 
-def stepping_concepts(ctx, concepts):
-    """Ids of the concepts whose one-attribute steps B ∪ {m} are all
-    listed intents: on the attribute side, covers take those steps as the
-    lower neighbours, with no Lindig step."""
+def cover_paths(ctx, concepts):
+    """How many concepts take each attribute-side path of covers: every
+    one-attribute removal B \\ {m} listed ("removals"); F, the members whose
+    removal is listed, with F' = A ("generator"); or neither ("split")."""
     intents = {c.intent for c in concepts}
-    return [i for i, c in enumerate(concepts)
-            if all(c.intent | 1 << m in intents
-                   for m in range(ctx.n_attributes))]
+    paths = Counter()
+    for c in concepts:
+        f = sum(1 << m for m in range(ctx.n_attributes)
+                if c.intent >> m & 1 and c.intent ^ 1 << m in intents)
+        paths["removals" if f == c.intent
+              else "generator" if ctx.derive_extent(f) == c.extent
+              else "split"] += 1
+    return paths
 
 
 def test_covers_where_one_attribute_steps_are_intents():
-    # tall coin tosses, where nearly every concept takes its steps, and
-    # sparse ones, where only a few do; each in lectic order and shuffled.
-    # All of them have no fewer row classes than attributes
+    # the attribute side's three paths up: every removal B \ {m} listed;
+    # the listed removals' members F with F' = A; and the split of F' \ A.
+    # A tall coin toss that has every intent, so every removal; a taller
+    # one and two sparse ones, which take each path; each in lectic order
+    # and shuffled.  All of them have no fewer row classes than attributes
     rng = random.Random(210)
     dropped = 0
-    for n, m, p, least, most in ((200, 6, 0.5, 64, 64),
-                                 (150, 7, 0.5, 80, 90),
-                                 (60, 10, 0.2, 2, 5),
-                                 (80, 12, 0.15, 2, 5)):
+    for n, m, p in ((200, 6, 0.5), (150, 7, 0.5), (60, 10, 0.2),
+                    (80, 12, 0.15)):
         for seed in range(2):
             ctx = coin_toss_context(CoinTossSpec(n, m, p, seed))
             assert len(ctx.class_rows) >= m
             concepts = enumerate_concepts(ctx)
-            stepping = stepping_concepts(ctx, concepts)
-            assert least <= len(stepping) <= most
+            paths = cover_paths(ctx, concepts)
+            if m == 6:
+                assert paths == {"removals": 64}
+            else:
+                assert len(paths) == 3
             assert_covers_match_oracle(build_covers(concepts))
             assert_covers_match_oracle(
                 build_covers(rng.sample(concepts, len(concepts))))
-            # a step that is neither an attribute concept nor the bottom,
-            # dropped from below a concept that takes its steps: that
-            # concept takes Lindig's step, which names the gap
+            # a removal that is no attribute concept, dropped from above a
+            # concept whose removals are all listed: that concept splits
+            # F' \ A, which names the gap
             attribute_intents = {ctx.close_attrs(1 << j) for j in range(m)}
-            j = next((j for j, c in enumerate(concepts[:-1])
-                      if c.intent not in attribute_intents
-                      for i in stepping
-                      if (c.intent ^ concepts[i].intent).bit_count() == 1
-                      and c.intent & ~concepts[i].intent), None)
-            if j is None:
-                continue
-            with pytest.raises(ValueError, match="a lower neighbour missing "
+            intents = {c.intent for c in concepts}
+            removals = [c.intent for c in concepts
+                        if all(c.intent ^ 1 << k in intents for k in range(m)
+                               if c.intent >> k & 1)]
+            j = next(j for j, c in enumerate(concepts)
+                     if c.intent not in attribute_intents
+                     for b in removals
+                     if (c.intent ^ b).bit_count() == 1 and c.intent & b)
+            with pytest.raises(ValueError, match="an upper neighbour missing "
                                                  "from the list"):
                 build_covers(concepts[:j] + concepts[j + 1:])
             dropped += 1
-    assert dropped == 6
+    assert dropped == 8
 
 
 def test_covers_reject_an_intent_that_is_not_closed():
     # a step B ∪ {m} that is no intent, listed with its extent A ∩ m' as
-    # one more concept or in place of one.  Lindig's step never reaches
-    # it, but where B's other steps are listed, B would take it for a
-    # lower neighbour: the step with B's extent, or Lindig's candidate
-    # equal to A, shows that an intent is not closed
+    # one more concept or in place of one.  No split pattern is such a
+    # step, but a concept whose intent is the step and one more attribute
+    # takes it for a listed removal: the equal extents on that edge, or a
+    # split pattern equal to an intent, show that an intent is not closed
     rng = random.Random(211)
     stepping = 0
     for n, m, p, seed in ((40, 5, 0.5, 42), (30, 5, 0.5, 1), (24, 5, 0.6, 42)):
@@ -355,6 +364,24 @@ def test_covers_reject_an_intent_that_is_not_closed():
                     with pytest.raises(ValueError):
                         build_covers(listed)
     assert stepping >= 20
+
+
+def test_covers_check_an_extent_over_the_whole_face():
+    # concept 10 of these rows is ({g1}, {m0, m2, m3}).  Listed with m4
+    # added to its intent, it has no listed removal, and the split finds
+    # its upper neighbours two attributes up.  g1 lacks m4, so its extent
+    # fails the check over the whole face, though it can hold on the
+    # face's lowest attribute alone
+    ctx = FormalContext.from_rows([f"g{i}" for i in range(8)],
+                                  [f"m{j}" for j in range(5)],
+                                  [2, 13, 9, 24, 3, 5, 4, 20])
+    concepts = enumerate_concepts(ctx)
+    c = concepts[10]
+    assert names(ctx, c) == ("g1", "m0m2m3")
+    wrong = FormalConcept(c.extent, c.intent | 1 << 4)
+    with pytest.raises(ValueError, match="concept 10 has an upper neighbour "
+                                         "missing from the list"):
+        build_covers(concepts[:10] + [wrong] + concepts[11:])
 
 
 def test_covers_reject_a_negative_mask(toy_concepts):
@@ -423,10 +450,9 @@ def test_both_sides_of_the_side_choice_fuzz():
 
 def test_covers_take_the_object_side_with_fewer_objects():
     # covers step up from the objects where there are fewer of them than
-    # attributes, and down from the attributes otherwise, as enumeration
-    # closes object or attribute sets.  A missing neighbour is named by
-    # the step that looks for it: upper on the object side, lower on the
-    # attribute side.  8 attributes over 7, 8 and 9 objects, each its own
+    # attributes, and from the attributes otherwise, as enumeration closes
+    # object or attribute sets; a missing neighbour is named as an upper
+    # one on both sides.  8 attributes over 7, 8 and 9 objects, each its own
     # row class or 7 and 6 classes repeated, with and without an all-zero
     # row.  That row is the last object: it lies in no attribute extent,
     # but the top's extent holds it, so 8 objects with one in no attribute
@@ -449,9 +475,8 @@ def test_covers_take_the_object_side_with_fewer_objects():
             attribute_intents = {ctx.close_attrs(1 << j) for j in range(m)}
             i = next(i for i, c in enumerate(concepts[1:-1], start=1)
                      if c.intent not in attribute_intents)
-            direction = "an upper" if n < m else "a lower"
             with pytest.raises(ValueError,
-                               match=f"{direction} neighbour missing"):
+                               match="an upper neighbour missing"):
                 build_covers(concepts[:i] + concepts[i + 1:])
 
 
@@ -510,16 +535,16 @@ def flipped_extents(ctx, concepts, i):
 def test_covers_reject_a_corrupted_extent(toy_ctx, toy_concepts, davis_ctx,
                                           davis_concepts, events_ctx,
                                           events_concepts):
-    # the top's listed extent is checked against every object, and each
-    # other concept's once, at the first edge up from it, wherever the
-    # concept stands in the list.  The attribute extents m' are read off
-    # the attribute concepts, so a corrupted one is checked against
-    # nothing: on davis, two such corruptions (object 5 of concepts 51 and
-    # 55) pass silently.  Every other single-bit corruption raises, in
-    # lectic order and in three shuffled ones.  Toy and davis's events have
-    # fewer objects than attributes, so their covers are found upwards,
-    # from derived extents, and a corrupted attribute concept that no step
-    # finds counts as a second bottom: none of their corruptions passes.
+    # the top's listed extent is checked against every object, and on the
+    # attribute side each other concept's once, at the first edge up from
+    # it, wherever the concept stands in the list.  The attribute extents
+    # m' are read off the attribute concepts, so a corrupted one is checked
+    # in part against itself: on davis, two such corruptions (object 5 of
+    # concepts 51 and 55) pass silently.  Every other single-bit corruption
+    # raises, in lectic order and in three shuffled ones.  Toy and davis's
+    # events have fewer objects than attributes, so each listed extent
+    # must be the AND of its intent's attribute extents: none of their
+    # corruptions passes.
     # One object in no attribute extent has two concepts, and either
     # corruption gives both one extent
     rng = random.Random(206)
@@ -544,17 +569,17 @@ def test_covers_reject_a_corrupted_extent(toy_ctx, toy_concepts, davis_ctx,
 
 
 def test_covers_let_through_what_lindigs_step_let_through():
-    # 24 of this tall coin toss's 30 concepts take their one-attribute steps
-    # as their lower neighbours, and its single-bit extent corruptions
-    # pass as they did when every concept took Lindig's step, apart from
-    # the top's.  Objects 7 and 12 lie in no attribute extent, so the
-    # attribute concepts' extents (ids 1, 2, 4, 8 and 16) are read as m'
-    # whether or not they hold them; and a corrupted attribute extent is
-    # checked against nothing.  The top's extent is checked against every
-    # object, so dropping 7 or 12 from it raises
+    # 28 of this tall coin toss's 30 concepts have every one-attribute
+    # removal listed, and the other 2 take F' = A; its single-bit extent
+    # corruptions pass as they did when every concept took Lindig's step,
+    # apart from the top's.  Objects 7 and 12 lie in no attribute extent,
+    # so the attribute concepts' extents (ids 1, 2, 4, 8 and 16) are read
+    # as m' whether or not they hold them; and a corrupted attribute extent
+    # is checked in part against itself.  The top's extent is checked
+    # against every object, so dropping 7 or 12 from it raises
     ctx = coin_toss_context(CoinTossSpec(40, 5, 0.5, 42))
     lectic = enumerate_concepts(ctx)
-    assert len(stepping_concepts(ctx, lectic)) == 24
+    assert cover_paths(ctx, lectic) == {"removals": 28, "generator": 2}
     silent = {(1, 6), (1, 7), (1, 12), (1, 24), (2, 7), (2, 12), (4, 7),
               (4, 12), (4, 34), (4, 39), (8, 7), (8, 12), (16, 7), (16, 12),
               (16, 19)}
